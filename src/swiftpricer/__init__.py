@@ -17,9 +17,9 @@ from .payoff import (PayoffCache, PayoffJob, TrigMoments, em_correction_D,
                      payoff_classic_vieta, payoff_fft_euler_maclaurin,
                      payoff_forward_si_ein, trig_moments)
 from .pricer import (GridSelectionError, PricingContext, PricingResult,
-                     ReferenceError, WaveletGrid, auto_grid, price_call,
-                     price_put, reference_call, reference_put, select_k_range,
-                     select_scale, truncation_interval)
+                     ReferenceError, WaveletGrid, auto_grid, reference_call,
+                     reference_put, select_k_range, select_scale,
+                     truncation_interval)
 from .specfun import ein, exp_sin_integral, si
 from .transform import cos_sin_sum, dct2_via_fft, dst2_via_fft, inverse_dft
 
@@ -35,7 +35,7 @@ __all__ = [
     "density_vieta_direct", "dst2_via_fft", "ein", "em_correction_D",
     "exp_sin_integral", "inverse_dft", "model_from_dict", "model_from_json",
     "payoff_classic_si_ein", "payoff_classic_simpson", "payoff_classic_vieta",
-    "payoff_fft_euler_maclaurin", "payoff_forward_si_ein", "price_call",
-    "price_put", "reference_call", "reference_put", "select_k_range",
+    "payoff_fft_euler_maclaurin", "payoff_forward_si_ein", "reference_call",
+    "reference_put", "select_k_range",
     "select_scale", "si", "truncation_interval", "trig_moments",
 ]

@@ -114,18 +114,28 @@ def cmd_price(args) -> int:
     grid = _grid_for(model, args)
     ctx = PricingContext(model, grid, args.density)
     strikes = args.strike or [model.forward]
+    if args.payoff == "em_fft":
+        # one batched call; each strike reports its share of the elapsed time
+        t0 = time.perf_counter()
+        prices = ctx.price_puts(strikes)
+        share = (time.perf_counter() - t0) / len(strikes)
+        priced = [(K, float(price), share) for K, price in zip(strikes, prices)]
+    else:
+        priced = []
+        for K in strikes:
+            res = ctx.price_put(K, args.payoff)
+            priced.append((K, res.price, res.elapsed))
     results = []
-    for K in strikes:
-        res = ctx.price_put(K, args.payoff)
+    for K, price, elapsed in priced:
         results.append({
             "strike": K,
-            "price": res.price,
+            "price": price,
             "grid": {"m": grid.m, "k1": grid.k1, "k2": grid.k2, "J": grid.J,
                      "N": grid.N, "a": grid.a, "b": grid.b},
-            "density_strategy": res.density_strategy,
-            "payoff_strategy": res.payoff_strategy,
-            "cf_evals": res.cf_evals,
-            "elapsed_seconds": res.elapsed,
+            "density_strategy": ctx.density_strategy,
+            "payoff_strategy": args.payoff,
+            "cf_evals": ctx.cf_evals,
+            "elapsed_seconds": elapsed,
         })
     text = json.dumps(results if len(results) > 1 else results[0], indent=2) + "\n"
     if args.out:

@@ -123,12 +123,14 @@ class TrigMoments:
     p: float
 
 
-def _trig_moments_arrays(q: np.ndarray, a: float, z: float):
-    """Closed-form C, S for an array of frequencies (q = 0 handled as limit)."""
+def _trig_moments_arrays(q, a: float, z):
+    """Closed-form C, S for frequencies q (q = 0 handled as limit).
+
+    ``q`` and ``z`` broadcast against each other: a row of frequencies and a
+    column of log-strikes give one row of moments per strike.
+    """
     q = np.asarray(q, dtype=float)
     ez, ea = np.exp(z), np.exp(a)
-    out_c = np.empty(q.shape)
-    out_s = np.empty(q.shape)
     zero = q == 0.0
     qs = np.where(zero, 1.0, q)
     denom = 1.0 + qs * qs
@@ -136,8 +138,9 @@ def _trig_moments_arrays(q: np.ndarray, a: float, z: float):
     cz, sa = np.cos(qs * z), np.sin(qs * a)
     out_c = ez * (sz - sa) / qs - (ez * (cz + qs * sz) - ea * (ca + qs * sa)) / denom
     out_s = ez * (ca - cz) / qs - (ez * (sz - qs * cz) - ea * (sa - qs * ca)) / denom
-    out_c = np.where(zero, ez * (z - a) - (ez - ea), out_c)
-    out_s = np.where(zero, 0.0, out_s)
+    if zero.any():
+        out_c = np.where(zero, ez * (z - a) - (ez - ea), out_c)
+        out_s = np.where(zero, 0.0, out_s)
     return out_c, out_s
 
 
@@ -149,8 +152,10 @@ def trig_moments(n_over_N: float, m: int, a: float, z: float) -> TrigMoments:
     return TrigMoments(Cn=float(c[0]), Sn=float(s[0]), q=q, p=p)
 
 
-def em_correction_D(m: int, a: float, z: float) -> float:
+def em_correction_D(m: int, a: float, z):
     """D(a,z) = int_a^z 2^m y (e^z - e^y) sin(p y) dy with p = pi 2^m.
+
+    ``z`` may be an array of log-strikes; the result has its shape.
 
     Assembled from antiderivatives (integration by parts) rather than a
     transcribed expansion:
@@ -175,9 +180,9 @@ def em_correction_D(m: int, a: float, z: float) -> float:
     def f_yeysin(y):
         return y * e_s(y) - (e_s(y) - p * e_c(y)) / d
 
+    z = np.asarray(z, dtype=float)
     ez = np.exp(z)
-    return float(2.0**m * (ez * (f_ysin(z) - f_ysin(a))
-                           - (f_yeysin(z) - f_yeysin(a))))
+    return 2.0**m * (ez * (f_ysin(z) - f_ysin(a)) - (f_yeysin(z) - f_yeysin(a)))
 
 
 @dataclass(frozen=True)

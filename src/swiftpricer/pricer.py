@@ -7,7 +7,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -16,11 +16,16 @@ from .density import (CoefficientArray, DensityJob, density_filon,
                       density_mass, density_midpoint_fft,
                       density_trapezoidal_fft)
 from .models import Cumulants, ModelSpec, char_fn, cumulants
-from .payoff import PayoffJob, payoff_classic_si_ein, payoff_fft_euler_maclaurin, \
-    payoff_forward_si_ein
+from .payoff import (_trig_moments_arrays, em_correction_D, payoff_classic_si_ein,
+                     payoff_forward_si_ein)
+from .transform import inverse_dft
 
 DENSITY_STRATEGIES = ("midpoint", "trapezoidal", "filon")
 PAYOFF_STRATEGIES = ("classic", "forward", "em_fft")
+
+# Strikes x payoff nodes per block of batched em_fft pricing: keeps each
+# (strikes, N) temporary near 0.5 MB, whatever the grid.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -126,11 +131,23 @@ def _compute_density(model: ModelSpec, grid: WaveletGrid, strategy: str,
                      f"(choose from {DENSITY_STRATEGIES})")
 
 
+def _check_strikes(strikes) -> np.ndarray:
+    K = np.asarray(strikes, dtype=float)
+    if K.ndim != 1:
+        raise ValueError(f"strikes must be a 1-D sequence, got shape {K.shape}")
+    bad = ~(np.isfinite(K) & (K >= 0.0))
+    if bad.any():
+        raise ValueError(f"strike must be finite and >= 0, got {float(K[bad][0])!r}")
+    return K
+
+
 class PricingContext:
     """Model + grid + density coefficients, computed once and then shared.
 
-    Immutable after initialization; pricing different strikes against the
-    same context reuses the density work (and is safe concurrently).
+    Pricing different strikes against the same context reuses the density
+    work.  The only state set after initialization is the em_fft sums,
+    filled on first use by a deterministic computation, so concurrent
+    pricing stays safe.
     """
 
     def __init__(self, model: ModelSpec, grid: WaveletGrid,
@@ -148,12 +165,6 @@ class PricingContext:
         g = self.grid
         return np.array([payoff_forward_si_ein(K, self.model.forward, g.m, k, g.a)
                          for k in range(g.k1, g.k2)])
-
-    def _payoff_em_fft(self, K: float) -> np.ndarray:
-        g = self.grid
-        job = PayoffJob(K=K, F=self.model.forward, m=g.m, a=g.a, b=g.b,
-                        k1=g.k1, k2=g.k2, N=g.N)
-        return payoff_fft_euler_maclaurin(job).values
 
     def _price_put_classic(self, K: float) -> float:
         # strike-centered payoff over the shifted window [a+z, z]: the
@@ -174,26 +185,79 @@ class PricingContext:
         c = self.coeffs.values[k1c - g.k1: k2c - g.k1]
         return float(self.model.discount * np.dot(c, V))
 
+    @cached_property
+    def _em_sums(self):
+        """Everything em_fft pricing needs from the density coefficients:
+        alpha_n + i beta_n = sum_k c_k e^{i pi k (n+1/2)/N} for n < N,
+        s0 = sum_k (-1)^k c_k and s1 = sum_k (-1)^k k c_k."""
+        g, c = self.grid, self.coeffs.values
+        n2 = 2 * g.N
+        # e^{i pi (j+2N)(n+1/2)/N} = -e^{i pi j (n+1/2)/N}: fold every 2N
+        # wrap of j = k - k1 onto [0, 2N) with a sign flip
+        rows = np.pad(c, (0, -len(c) % n2)).reshape(-1, n2)
+        folded = rows[0::2].sum(axis=0) - rows[1::2].sum(axis=0)
+        w = inverse_dft(folded * np.exp(1j * np.pi * np.arange(n2) / n2))[:g.N]
+        # e^{i pi k1 (2n+1)/(2N)}, angle reduced exactly in integers
+        turns = (g.k1 * (2 * np.arange(g.N) + 1)) % (2 * n2)
+        w *= np.exp(1j * np.pi * turns / n2)
+        ks = np.arange(g.k1, g.k2)
+        signed = (1.0 - 2.0 * (np.abs(ks) & 1)) * c
+        return w.real, w.imag, float(signed.sum()), float(np.dot(ks, signed))
+
+    def price_puts(self, strikes) -> np.ndarray:
+        """Put prices for a vector of strikes by the Euler-Maclaurin FFT payoff.
+
+        The price is linear in the density coefficients, so with
+        z = ln(K/F), scale = K e^{-z} 2^{m/2} = F 2^{m/2} and the sums of
+        ``_em_sums`` it is B times
+
+          scale/N sum_n [C_{n+1/2}(z) alpha_n + S_{n+1/2}(z) beta_n]
+            - pi scale/(24 N^2) (D(z) s0 - S_N(z) s1)
+
+        (see ``payoff_fft_euler_maclaurin`` for C, S and D).  One FFT per
+        context serves every strike; each strike costs the O(N) closed-form
+        moments and two dot products.  Strikes with z <= a price exactly 0.
+        """
+        K = _check_strikes(strikes)
+        g, F = self.grid, self.model.forward
+        if not g.a < 0 <= g.b:
+            raise ValueError(f"need a < 0 <= b for put coverage, got [{g.a}, {g.b}]")
+        z = np.full(K.shape, -np.inf)
+        np.log(K / F, out=z, where=K > 0.0)
+        live = np.flatnonzero(z > g.a)
+        sums = np.zeros(K.shape)
+        if live.size == 0:
+            return sums
+        alpha, beta, s0, s1 = self._em_sums
+        p = np.pi * 2.0**g.m
+        q = (np.arange(g.N) + 0.5) / g.N * p
+        step = max(1, _BLOCK_ELEMENTS // g.N)
+        for lo in range(0, live.size, step):
+            idx = live[lo:lo + step]
+            zb = z[idx]
+            c_n, s_n = _trig_moments_arrays(q, g.a, zb[:, None])
+            _, s_cap = _trig_moments_arrays(p, g.a, zb)
+            d_cap = em_correction_D(g.m, g.a, zb)
+            sums[idx] = ((c_n @ alpha + s_n @ beta) / g.N
+                         - np.pi / (24.0 * g.N**2) * (d_cap * s0 - s_cap * s1))
+        return self.model.discount * F * 2.0 ** (g.m / 2.0) * sums
+
     def price_put(self, K: float, payoff_strategy: str = "forward") -> PricingResult:
         t0 = time.perf_counter()
-        if K == 0.0:
-            # worthless put; keeps the parity identity call(0) = B F exact
-            return PricingResult(price=0.0, grid=self.grid,
-                                 density_strategy=self.density_strategy,
-                                 payoff_strategy=payoff_strategy,
-                                 cf_evals=self.cf_evals,
-                                 elapsed=time.perf_counter() - t0)
-        if payoff_strategy == "forward":
-            V = self._payoff_forward(K)
-            price = float(self.model.discount * np.dot(self.coeffs.values, V))
-        elif payoff_strategy == "em_fft":
-            V = self._payoff_em_fft(K)
-            price = float(self.model.discount * np.dot(self.coeffs.values, V))
-        elif payoff_strategy == "classic":
-            price = self._price_put_classic(K)
-        else:
+        if payoff_strategy not in PAYOFF_STRATEGIES:
             raise ValueError(f"unknown payoff strategy '{payoff_strategy}' "
                              f"(choose from {PAYOFF_STRATEGIES})")
+        _check_strikes([K])
+        if payoff_strategy == "em_fft":
+            price = float(self.price_puts([K])[0])
+        elif K == 0.0:
+            # worthless put; keeps the parity identity call(0) = B F exact
+            price = 0.0
+        elif payoff_strategy == "forward":
+            V = self._payoff_forward(K)
+            price = float(self.model.discount * np.dot(self.coeffs.values, V))
+        else:
+            price = self._price_put_classic(K)
         return PricingResult(price=price, grid=self.grid,
                              density_strategy=self.density_strategy,
                              payoff_strategy=payoff_strategy,
@@ -204,29 +268,6 @@ class PricingContext:
         res = self.price_put(K, payoff_strategy)
         parity = self.model.discount * (self.model.forward - K)
         return replace(res, price=res.price + parity)
-
-
-@lru_cache(maxsize=16)
-def _shared_context(model: ModelSpec, grid: WaveletGrid,
-                    density_strategy: str) -> PricingContext:
-    # (model, grid) are frozen dataclasses, so repeated one-shot pricing of
-    # different strikes reuses one density computation
-    return PricingContext(model, grid, density_strategy)
-
-
-def price_put(model: ModelSpec, K: float, grid: WaveletGrid,
-              density_strategy: str = "trapezoidal",
-              payoff_strategy: str = "forward") -> PricingResult:
-    """Put price B sum_k c_{m,k} V_{m,k}; the density work for a given
-    (model, grid, strategy) is computed once and shared across strikes."""
-    return _shared_context(model, grid, density_strategy).price_put(K, payoff_strategy)
-
-
-def price_call(model: ModelSpec, K: float, grid: WaveletGrid,
-               density_strategy: str = "trapezoidal",
-               payoff_strategy: str = "forward") -> PricingResult:
-    """Call by exact parity: call = put + B (F - K)."""
-    return _shared_context(model, grid, density_strategy).price_call(K, payoff_strategy)
 
 
 def auto_grid(model: ModelSpec, L: float = 10.0, scale_tol: float = 1e-8,

@@ -1,63 +1,28 @@
-"""Radix-2 transforms: unscaled inverse DFT, and DCT-II / DST-II each
-computed from a single same-size FFT (Makhoul's even-odd reordering),
-plus the combined cosine+sine evaluation used for payoff coefficients.
+"""Power-of-two transforms: unscaled inverse DFT (numpy's FFT), and DCT-II /
+DST-II each computed from a single same-size FFT (Makhoul's even-odd
+reordering), plus the combined cosine+sine evaluation used for payoff
+coefficients.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 
-def _check_pow2(n: int) -> int:
+def _check_pow2(n: int) -> None:
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"length must be a power of two, got {n}")
-    return int(n).bit_length() - 1
-
-
-@lru_cache(maxsize=64)
-def _plan(n: int):
-    """Bit-reversal permutation and per-stage twiddle tables for size n.
-
-    Plans are immutable after construction and shared across callers.
-    """
-    p = _check_pow2(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for i in range(1, n):
-        rev[i] = (rev[i >> 1] >> 1) | ((i & 1) << (p - 1))
-    twiddles = []
-    for s in range(1, p + 1):
-        half = 1 << (s - 1)
-        # +2 pi i / 2^s: inverse-transform sign convention
-        twiddles.append(np.exp(2j * np.pi * np.arange(half) / (1 << s)))
-    for t in twiddles:
-        t.setflags(write=False)
-    rev.setflags(write=False)
-    return rev, tuple(twiddles)
 
 
 def inverse_dft(buf) -> np.ndarray:
     """Unscaled inverse DFT: g_l = sum_j f_j e^{+2 pi i l j / n}.
 
-    Iterative radix-2 decimation-in-time; input length must be a power of
-    two.  Out-of-place: the input buffer is never modified.
+    Input length must be a power of two.  Out-of-place: the input buffer
+    is never modified.
     """
     f = np.asarray(buf, dtype=complex)
-    n = f.shape[0]
-    rev, twiddles = _plan(n)
-    g = f[rev].copy()
-    p = len(twiddles)
-    for s in range(1, p + 1):
-        m = 1 << s
-        half = m >> 1
-        w = twiddles[s - 1]
-        blocks = g.reshape(n // m, m)
-        lo = blocks[:, :half].copy()
-        hi = blocks[:, half:] * w
-        blocks[:, :half] = lo + hi
-        blocks[:, half:] = lo - hi
-    return g
+    _check_pow2(f.shape[0])
+    return np.fft.ifft(f, norm="forward")
 
 
 def _makhoul_phase(n: int) -> np.ndarray:
@@ -123,8 +88,8 @@ def cos_sin_sum(a, b, k_range) -> np.ndarray:
 
     ``k_range`` is any iterable of integers (negative and >= N allowed; they
     are folded back by the parity/period structure of the half-sample
-    angles).  Internally one FFT serves the DCT and one the DST, sharing
-    twiddle tables, and the two phase rotations are applied together.
+    angles).  Internally one FFT serves the DCT and one the DST, and the
+    two phase rotations are applied together.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

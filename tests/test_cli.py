@@ -6,7 +6,7 @@ import json
 import pytest
 
 from oracles import black76_put
-from swiftpricer import reference_put, model_from_json
+from swiftpricer import PricingContext, auto_grid, model_from_json, reference_put
 from swiftpricer.cli import build_parser, cmd_error_sweep, main
 
 TABLE1_EXPECTED = {
@@ -69,6 +69,30 @@ class TestPrice:
         model = model_from_json(heston_heavy_file)
         ref = reference_put(model, 900000.0)
         assert abs(doc["price"] - ref) <= 1e-6 * max(1.0, ref)
+
+    def test_em_fft_strike_vector_matches_api(self, capsys, heston_short_file):
+        strikes = [0.9, 1.0, 1.07]
+        argv = ["price", "--model", heston_short_file, "--payoff", "em-fft"]
+        for K in strikes:
+            argv += ["--strike", repr(K)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        docs = json.loads(out)
+        model = model_from_json(heston_short_file)
+        ctx = PricingContext(model, auto_grid(model, mass_tol=1e-8))
+        assert [d["price"] for d in docs] == ctx.price_puts(strikes).tolist()
+        assert [d["strike"] for d in docs] == strikes
+        assert {d["payoff_strategy"] for d in docs} == {"em_fft"}
+        assert len({d["elapsed_seconds"] for d in docs}) == 1
+
+    @pytest.mark.parametrize("payoff", ["em-fft", "forward", "classic"])
+    @pytest.mark.parametrize("strike", ["nan", "inf", "-1"])
+    def test_bad_strike_exit_code(self, capsys, lognormal_file, payoff, strike):
+        code, out, err = run_cli(capsys, "price", "--model", lognormal_file,
+                                 "--payoff", payoff, "--strike", strike)
+        assert code == 1
+        assert out == ""
+        assert "strike" in err
 
     def test_malformed_json_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -7,11 +7,13 @@ from scipy.stats import norm
 from conftest import HESTON_HEAVY, HESTON_SHORT, LOGNORMAL_02
 from oracles import black76_call, black76_put
 from swiftpricer import (Cumulants, DensityJob, GridSelectionError, ModelSpec,
-                         LognormalParams, PricingContext, WaveletGrid,
+                         LognormalParams, PayoffJob, PricingContext, WaveletGrid,
                          auto_grid, char_fn, cumulants, density_trapezoidal_fft,
-                         price_call, price_put, reference_call, reference_put,
-                         select_k_range, select_scale, truncation_interval)
+                         payoff_fft_euler_maclaurin, reference_call,
+                         reference_put, select_k_range, select_scale,
+                         truncation_interval)
 import swiftpricer.density as density_mod
+from swiftpricer.pricer import PAYOFF_STRATEGIES
 
 BLACK_ATM = 7.965567455405804  # Black-76 put, F=K=100, T=1, vol=0.2
 
@@ -95,7 +97,7 @@ class TestPricePut:
     def test_empty_support_prices_zero(self, heston_short):
         grid = short_grid()
         K = float(np.exp(grid.a) * 0.5)  # z well below a
-        res = price_put(heston_short, K, grid)
+        res = PricingContext(heston_short, grid).price_put(K)
         assert abs(res.price) <= heston_short.discount * K * 1e-10
 
     def test_otm_table_row(self, heston_short):
@@ -103,8 +105,8 @@ class TestPricePut:
         # midpoint about +4.0e-7 against the reference pricer
         grid = short_grid()
         ref = reference_put(heston_short, 1.0064)
-        trap = price_put(heston_short, 1.0064, grid, "trapezoidal").price
-        mid = price_put(heston_short, 1.0064, grid, "midpoint").price
+        trap = PricingContext(heston_short, grid, "trapezoidal").price_put(1.0064).price
+        mid = PricingContext(heston_short, grid, "midpoint").price_put(1.0064).price
         assert trap - ref == pytest.approx(-7.39e-08, abs=2e-9)
         assert mid - ref == pytest.approx(3.97e-07, abs=1e-8)
         # the OTM option at this strike is the call; 4 printed digits
@@ -113,13 +115,13 @@ class TestPricePut:
 
     def test_lognormal_vs_black(self):
         grid = WaveletGrid(m=5, k1=-64, k2=64, J=11, N=128, a=-2.0, b=2.0, L=10.0)
-        res = price_put(LOGNORMAL_02, 100.0, grid)
+        res = PricingContext(LOGNORMAL_02, grid).price_put(100.0)
         assert res.price == pytest.approx(BLACK_ATM, abs=1e-8)
 
     def test_discount_factor_honored(self):
         model = ModelSpec(100.0, 1.0, 0.97, LognormalParams(vol=0.2))
         grid = WaveletGrid(m=5, k1=-64, k2=64, J=11, N=128, a=-2.0, b=2.0)
-        res = price_put(model, 100.0, grid)
+        res = PricingContext(model, grid).price_put(100.0)
         assert res.price == pytest.approx(0.97 * BLACK_ATM, abs=1e-8)
         assert res.price == pytest.approx(
             black76_put(100.0, 100.0, 1.0, 0.2, B=0.97), abs=1e-8)
@@ -127,13 +129,13 @@ class TestPricePut:
     def test_unknown_strategies_rejected(self, lognormal):
         grid = short_grid()
         with pytest.raises(ValueError):
-            price_put(lognormal, 100.0, grid, density_strategy="simpson")
+            PricingContext(lognormal, grid, density_strategy="simpson")
         with pytest.raises(ValueError):
-            price_put(lognormal, 100.0, grid, payoff_strategy="cosine")
+            PricingContext(lognormal, grid).price_put(100.0, payoff_strategy="cosine")
 
     def test_result_reference_helper(self, lognormal):
         grid = WaveletGrid(m=5, k1=-64, k2=64, J=11, N=128, a=-2.0, b=2.0)
-        res = price_put(lognormal, 100.0, grid).with_reference(BLACK_ATM)
+        res = PricingContext(lognormal, grid).price_put(100.0).with_reference(BLACK_ATM)
         assert res.abs_error == res.price - BLACK_ATM
 
 
@@ -145,14 +147,103 @@ class TestPriceCall:
 
     def test_zero_strike(self, lognormal):
         grid = WaveletGrid(m=5, k1=-64, k2=64, J=11, N=128, a=-2.0, b=2.0)
-        res = price_call(lognormal, 0.0, grid)
+        res = PricingContext(lognormal, grid).price_call(0.0)
         assert res.price == lognormal.discount * lognormal.forward
 
     def test_vs_black_call(self, lognormal):
         grid = WaveletGrid(m=5, k1=-64, k2=64, J=11, N=128, a=-2.0, b=2.0)
-        res = price_call(lognormal, 100.0, grid)
+        res = PricingContext(lognormal, grid).price_call(100.0)
         assert res.price == pytest.approx(black76_call(100.0, 100.0, 1.0, 0.2),
                                           abs=1e-8)
+
+
+def em_fft_oracle(ctx, K):
+    """B sum_k c_k V_k(K) with V from the per-strike payoff FFT."""
+    g, F = ctx.grid, ctx.model.forward
+    if K == 0.0:
+        return 0.0
+    job = PayoffJob(K=K, F=F, m=g.m, a=g.a, b=g.b, k1=g.k1, k2=g.k2, N=g.N)
+    return ctx.model.discount * np.dot(ctx.coeffs.values,
+                                       payoff_fft_euler_maclaurin(job).values)
+
+
+def check_against_oracle(ctx, strikes):
+    # absolute tolerance: the oracle's own rounding is about eps K, so a
+    # relative check would fail on prices many digits below K
+    got = ctx.price_puts(strikes)
+    F = ctx.model.forward
+    for K, price in zip(strikes, got):
+        assert abs(price - em_fft_oracle(ctx, K)) <= 1e-14 * max(K, F), K
+    return got
+
+
+class TestPricePuts:
+    @pytest.mark.parametrize("model, n", [(LOGNORMAL_02, 200), (HESTON_SHORT, 200),
+                                          (HESTON_HEAVY, 100)],
+                             ids=["lognormal", "heston_short", "heston_heavy"])
+    def test_matches_per_strike_oracle(self, model, n):
+        grid = auto_grid(model, mass_tol=1e-8)
+        ctx = PricingContext(model, grid)
+        F = model.forward
+        rng = np.random.default_rng(20201)
+        z = rng.uniform(1.1 * grid.a, 1.2 * grid.b, n)
+        strikes = np.concatenate([F * np.exp(z), [F, 0.0, F * np.exp(1.5 * grid.a),
+                                                  F * np.exp(1.5 * grid.b)]])
+        got = check_against_oracle(ctx, strikes)
+        below = strikes <= F * np.exp(grid.a)
+        assert below.sum() >= 2 and np.all(got[below] == 0.0)
+        assert np.sum(strikes > F * np.exp(grid.b)) >= 2
+
+    def test_folded_coefficients_on_short_payoff_grid(self, heston_short):
+        # k2 - k1 = 240 spans almost four 2N = 64 periods; odd k1
+        grid = WaveletGrid(m=7, k1=-101, k2=139, J=8, N=32, a=-0.75, b=1.05)
+        ctx = PricingContext(heston_short, grid)
+        check_against_oracle(ctx, np.linspace(0.5, 2.5, 41))
+
+    def test_scalar_route_is_a_batch_of_one(self, heston_short):
+        ctx = PricingContext(heston_short, auto_grid(heston_short))
+        for K in (0.0, 0.3, 0.97, 1.0, 1.02, 5.0):
+            assert ctx.price_put(K, "em_fft").price == ctx.price_puts([K])[0]
+
+    def test_zero_strike_exact(self, lognormal):
+        ctx = PricingContext(lognormal, auto_grid(lognormal))
+        assert ctx.price_puts([0.0, 0.0]).tolist() == [0.0, 0.0]
+        assert ctx.price_call(0.0, "em_fft").price == lognormal.discount * lognormal.forward
+
+    def test_sums_filled_on_first_em_fft_use(self, lognormal):
+        ctx = PricingContext(lognormal, auto_grid(lognormal))
+        ctx.price_put(100.0, "forward")
+        assert "_em_sums" not in vars(ctx)
+        ctx.price_puts([100.0])
+        assert "_em_sums" in vars(ctx)
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), -float("inf")])
+    def test_bad_strikes_rejected(self, lognormal, bad):
+        ctx = PricingContext(lognormal, auto_grid(lognormal))
+        with pytest.raises(ValueError, match="strike"):
+            ctx.price_puts([100.0, bad])
+        for route in PAYOFF_STRATEGIES:
+            with pytest.raises(ValueError, match=f"got {bad!r}"):
+                ctx.price_put(bad, route)
+            with pytest.raises(ValueError, match="strike"):
+                ctx.price_call(bad, route)
+
+    def test_grid_without_put_coverage_rejected(self, lognormal):
+        grid = WaveletGrid(m=5, k1=8, k2=64, J=11, N=64, a=0.25, b=2.0)
+        ctx = PricingContext(lognormal, grid)
+        with pytest.raises(ValueError, match="a < 0 <= b"):
+            ctx.price_puts([100.0])
+
+    def test_ten_thousand_strikes_on_heavy_grid(self, heston_heavy):
+        grid = auto_grid(heston_heavy, mass_tol=1e-8)
+        ctx = PricingContext(heston_heavy, grid)
+        F, B = heston_heavy.forward, heston_heavy.discount
+        strikes = F * np.exp(np.linspace(1.05 * grid.a, 1.05 * grid.b, 10_000))
+        puts = ctx.price_puts(strikes)
+        slack = 1e-9 * np.maximum(strikes, F)
+        assert np.all(np.isfinite(puts))
+        assert np.all(puts >= np.maximum(B * (strikes - F), 0.0) - slack)
+        assert np.all(puts <= B * strikes + slack)
 
 
 class TestClassicRoute:
@@ -242,7 +333,7 @@ class TestAutoGrid:
         grid = auto_grid(lognormal)
         assert grid.m == 4
         assert grid.k2 - grid.k1 <= 1 << grid.J
-        res = price_put(lognormal, 100.0, grid)
+        res = PricingContext(lognormal, grid).price_put(100.0)
         assert res.price == pytest.approx(BLACK_ATM, abs=1e-8)
 
     def test_grid_validation(self):
