@@ -12,10 +12,9 @@ from .density import (CoefficientArray, DensityJob, FilonConvergenceError,
                       density_trapezoidal_fft, density_vieta_direct)
 from .models import (Cumulants, HestonParams, LognormalParams, ModelSpec,
                      char_fn, cumulants, model_from_dict, model_from_json)
-from .payoff import (PayoffCache, PayoffJob, TrigMoments, em_correction_D,
-                     payoff_classic_si_ein, payoff_classic_simpson,
-                     payoff_classic_vieta, payoff_fft_euler_maclaurin,
-                     payoff_forward_si_ein, trig_moments)
+from .payoff import (PayoffJob, em_correction_D, payoff_classic_si_ein,
+                     payoff_classic_simpson, payoff_classic_vieta,
+                     payoff_fft_euler_maclaurin, payoff_forward_si_ein)
 from .pricer import (GridSelectionError, PricingContext, PricingResult,
                      ReferenceError, WaveletGrid, auto_grid, reference_call,
                      reference_put, select_k_range, select_scale,
@@ -28,8 +27,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CoefficientArray", "Cumulants", "DensityJob", "FilonConvergenceError",
     "GridSelectionError", "HestonParams", "LognormalParams", "ModelSpec",
-    "PayoffCache", "PayoffJob", "PricingContext", "PricingResult",
-    "ReferenceError", "TrigMoments", "WaveletGrid", "auto_grid", "char_fn",
+    "PayoffJob", "PricingContext", "PricingResult", "ReferenceError",
+    "WaveletGrid", "auto_grid", "char_fn",
     "cos_sin_sum", "cumulants", "dct2_via_fft", "density_filon",
     "density_mass", "density_midpoint_fft", "density_trapezoidal_fft",
     "density_vieta_direct", "dst2_via_fft", "ein", "em_correction_D",
@@ -37,5 +36,5 @@ __all__ = [
     "payoff_classic_si_ein", "payoff_classic_simpson", "payoff_classic_vieta",
     "payoff_fft_euler_maclaurin", "payoff_forward_si_ein", "reference_call",
     "reference_put", "select_k_range",
-    "select_scale", "si", "truncation_interval", "trig_moments",
+    "select_scale", "si", "truncation_interval",
 ]

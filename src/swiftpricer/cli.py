@@ -22,7 +22,8 @@ from .payoff import (PayoffJob, payoff_classic_si_ein, payoff_classic_simpson,
                      payoff_classic_vieta, payoff_fft_euler_maclaurin,
                      payoff_forward_si_ein)
 from .pricer import (GridSelectionError, PricingContext, ReferenceError,
-                     WaveletGrid, auto_grid, reference_put, truncation_interval)
+                     WaveletGrid, _check_strikes, auto_grid, reference_put,
+                     truncation_interval)
 
 # The two Heston experiment configurations used by the built-in tables.
 # The quoted-price tables pair the short-maturity dynamics with F = 1 and
@@ -215,8 +216,10 @@ def cmd_error_sweep(args) -> int:
     else:
         strikes = list(
             model.forward * np.linspace(np.exp(0.25 * a), np.exp(b) * (1 - 1e-9), 40))
-    z_max = b if not strikes else max(np.log(max(strikes) / model.forward), b)
-    z_min = 0.0 if not strikes else min(np.log(min(strikes) / model.forward), 0.0)
+    checked = _check_strikes(strikes)
+    # a zero strike prices 0 on every route and needs no coefficients
+    z = np.log(checked[checked > 0] / model.forward)
+    z_max, z_min = np.max(z, initial=b), np.min(z, initial=0.0)
     # density range wide enough for the strike-shifted classic windows
     k1 = int(np.floor(2.0**m * (a + z_min))) - 1
     k2 = int(np.ceil(2.0**m * (b + max(z_max, 0.0)))) + 2
@@ -226,8 +229,7 @@ def cmd_error_sweep(args) -> int:
     ctx = PricingContext(model, grid, args.density)
     rows = []
     for K in strikes:
-        z = np.log(K / model.forward)
-        flag = "beyond_truncation" if z > b else ""
+        flag = "beyond_truncation" if K > 0 and np.log(K / model.forward) > b else ""
         ref = reference_put(model, K)
         fwd = ctx.price_put(K, "forward").price
         try:

@@ -96,57 +96,39 @@ def _fhat(model: ModelSpec, x):
     return char_fn(model, -np.asarray(x, dtype=float))
 
 
-def density_midpoint_fft(job: DensityJob) -> CoefficientArray:
-    """c_{m,k} by the midpoint rule, one inverse DFT of size 2^J.
+def _density_fft(job: DensityJob, offset: int) -> CoefficientArray:
+    """c_{m,k} from one inverse DFT of size n = 2^J over the nodes
+    t_j = (2j + offset)/(2n), j < 2^{J-1}: offset 1 is the midpoint rule,
+    offset 0 the trapezoidal rule (half weight on the first node).
 
-    Loading: f_j = fhat(2^m pi (2j+1)/2^J) e^{2 pi i k1 j/2^J} for
-    j < 2^{J-1}, zero beyond; recovery applies the half-step phase
-    e^{i pi (l+k1)/2^J} elementwise.  For the centered range
-    k1 = -2^{J-1} the phase-free loading plus half-buffer swap is used.
+    Loading: f_j = fhat(2^m pi (2j+offset)/n) e^{2 pi i k1 j/n}, zero beyond
+    j = 2^{J-1}; the midpoint recovery applies the half-step phase
+    e^{i pi k/n} elementwise.
     """
     n = 1 << job.J
     nh = n >> 1
     j = np.arange(nh)
-    fh = _fhat(job.model, (2.0**job.m) * np.pi * (2 * j + 1) / n)
+    fh = _fhat(job.model, (2.0**job.m) * np.pi * (2 * j + offset) / n)
+    if offset == 0:
+        fh[0] *= 0.5
     buf = np.zeros(n, dtype=complex)
-    scale = 2.0 ** (job.m / 2.0) / nh
-    width = job.k2 - job.k1
-    if job.k1 == -nh:
-        buf[:nh] = fh
-        g = inverse_dft(buf)
-        g = np.concatenate([g[nh:], g[:nh]])  # k = -2^{J-1} .. 2^{J-1}-1
-        ks = np.arange(-nh, nh)
-        vals = scale * (np.exp(1j * np.pi * ks / n) * g).real
-        return CoefficientArray(job.k1, vals[:width])
-    buf[:nh] = fh * np.exp(2j * np.pi * job.k1 * j / n)
-    g = inverse_dft(buf)
-    l = np.arange(width)
-    vals = scale * (np.exp(1j * np.pi * (l + job.k1) / n) * g[:width]).real
-    return CoefficientArray(job.k1, vals)
+    # e^{2 pi i k1 j/n} with the angle reduced exactly in integers, so a
+    # wide grid's phase carries no large-argument rounding
+    buf[:nh] = fh * np.exp(2j * np.pi * ((job.k1 * j) % n) / n)
+    g = inverse_dft(buf)[: job.k2 - job.k1]
+    if offset:
+        g = np.exp(1j * np.pi * np.arange(job.k1, job.k2) / n) * g
+    return CoefficientArray(job.k1, 2.0 ** (job.m / 2.0) / nh * g.real)
+
+
+def density_midpoint_fft(job: DensityJob) -> CoefficientArray:
+    """c_{m,k} by the midpoint rule, one inverse DFT of size 2^J."""
+    return _density_fft(job, 1)
 
 
 def density_trapezoidal_fft(job: DensityJob) -> CoefficientArray:
-    """c_{m,k} by the trapezoidal rule, one inverse DFT of size 2^J.
-
-    Loading: f_0 = fhat(0)/2, f_j = fhat(2^m pi 2j/2^J) for 1 <= j < 2^{J-1},
-    zero beyond (same one-sided truncation as the midpoint strategy).
-    """
-    n = 1 << job.J
-    nh = n >> 1
-    j = np.arange(nh)
-    fh = _fhat(job.model, (2.0**job.m) * np.pi * (2 * j) / n)
-    fh[0] *= 0.5
-    buf = np.zeros(n, dtype=complex)
-    scale = 2.0 ** (job.m / 2.0) / nh
-    width = job.k2 - job.k1
-    if job.k1 == -nh:
-        buf[:nh] = fh
-        g = inverse_dft(buf)
-        g = np.concatenate([g[nh:], g[:nh]])
-        return CoefficientArray(job.k1, scale * g.real[:width])
-    buf[:nh] = fh * np.exp(2j * np.pi * job.k1 * j / n)
-    g = inverse_dft(buf)
-    return CoefficientArray(job.k1, scale * g[: width].real)
+    """c_{m,k} by the trapezoidal rule, one inverse DFT of size 2^J."""
+    return _density_fft(job, 0)
 
 
 def density_vieta_direct(model: ModelSpec, m: int, k: int, J: int) -> float:

@@ -32,6 +32,9 @@ class HestonParams:
     rho: float
 
     def __post_init__(self):
+        for name in ("v0", "kappa", "theta", "sigma"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.v0 > 0:
             raise ValueError(f"v0 must be > 0, got {self.v0}")
         if self.kappa < 0:
@@ -51,8 +54,8 @@ class LognormalParams:
     vol: float
 
     def __post_init__(self):
-        if not self.vol > 0:
-            raise ValueError(f"vol must be > 0, got {self.vol}")
+        if not (np.isfinite(self.vol) and self.vol > 0):
+            raise ValueError(f"vol must be finite and > 0, got {self.vol}")
 
 
 @dataclass(frozen=True)
@@ -65,10 +68,10 @@ class ModelSpec:
     dynamics: HestonParams | LognormalParams
 
     def __post_init__(self):
-        if not self.forward > 0:
-            raise ValueError(f"forward must be > 0, got {self.forward}")
-        if not self.maturity > 0:
-            raise ValueError(f"maturity must be > 0, got {self.maturity}")
+        if not (np.isfinite(self.forward) and self.forward > 0):
+            raise ValueError(f"forward must be finite and > 0, got {self.forward}")
+        if not (np.isfinite(self.maturity) and self.maturity > 0):
+            raise ValueError(f"maturity must be finite and > 0, got {self.maturity}")
         if not 0 < self.discount <= 1:
             raise ValueError(f"discount must be in (0, 1], got {self.discount}")
 

@@ -16,7 +16,6 @@ transcribe with a stray sign; the quadrature oracle is the arbiter).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .specfun import ein, si
 from .transform import cos_sin_sum
 
 
-def payoff_classic_si_ein(K: float, m: int, k: float, a: float) -> float:
+def payoff_classic_si_ein(K: float, m: int, k, a: float):
     """V_{m,k} = K 2^{m/2} int_a^0 (1 - e^y) sinc(2^m y - k) dy, closed form.
 
     With t_a = pi(2^m a - k), t_0 = -pi k and p = pi 2^m:
@@ -35,44 +34,50 @@ def payoff_classic_si_ein(K: float, m: int, k: float, a: float) -> float:
                                          - Ein(-t_0/p + i t_0)]
                              + Si(t_0) - Si(t_a) )
 
-    ``k`` may be non-integral (the derivation never uses integrality),
-    which the shifted-window classic pricing route relies on.
+    ``k`` may be an array (one coefficient per entry, same shape) and may be
+    non-integral (the derivation never uses integrality), which the
+    shifted-window classic pricing route relies on.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if not a < 0:
         raise ValueError("a must be < 0")
+    k = np.asarray(k, dtype=float)
     p = np.pi * 2.0**m
     t_a = np.pi * (2.0**m * a - k)
     t_0 = -np.pi * k
-    ein_term = ein(complex(-t_a / p, t_a)).imag - ein(complex(-t_0 / p, t_0)).imag
+    ein_term = ein(-t_a / p + 1j * t_a).imag - ein(-t_0 / p + 1j * t_0).imag
     si_term = si(t_0) - si(t_a)
-    return float(K / (2.0 ** (m / 2.0) * np.pi)
-                 * (np.exp(k / 2.0**m) * ein_term + si_term))
+    v = K / (2.0 ** (m / 2.0) * np.pi) * (np.exp(k / 2.0**m) * ein_term + si_term)
+    return v if v.ndim else float(v)
 
 
-def payoff_forward_si_ein(K: float, F: float, m: int, k: float, a: float) -> float:
+def payoff_forward_si_ein(K: float, F: float, m: int, k, a: float):
     """Forward-centered closed form over the put support [a, z], z = ln(K/F).
 
       V = K/(2^{m/2} pi) * ( e^{k/2^m - z} Im[Ein(-t_a/p + i t_a)
                                               - Ein(-t_z/p + i t_z)]
                              + Si(t_z) - Si(t_a) )
 
-    Zero when z <= a (empty support); coincides with the classic form at
-    z = 0 (K = F).
+    ``k`` may be an array (one coefficient per entry, same shape).  Zero
+    when z <= a (empty support); coincides with the classic form at z = 0
+    (K = F).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    k = np.asarray(k, dtype=float)
     z = np.log(K / F)
     if z <= a:
-        return 0.0
-    p = np.pi * 2.0**m
-    t_a = np.pi * (2.0**m * a - k)
-    t_z = np.pi * (2.0**m * z - k)
-    ein_term = ein(complex(-t_a / p, t_a)).imag - ein(complex(-t_z / p, t_z)).imag
-    si_term = si(t_z) - si(t_a)
-    return float(K / (2.0 ** (m / 2.0) * np.pi)
-                 * (np.exp(k / 2.0**m - z) * ein_term + si_term))
+        v = np.zeros(k.shape)
+    else:
+        p = np.pi * 2.0**m
+        t_a = np.pi * (2.0**m * a - k)
+        t_z = np.pi * (2.0**m * z - k)
+        ein_term = ein(-t_a / p + 1j * t_a).imag - ein(-t_z / p + 1j * t_z).imag
+        si_term = si(t_z) - si(t_a)
+        v = K / (2.0 ** (m / 2.0) * np.pi) * (np.exp(k / 2.0**m - z) * ein_term
+                                               + si_term)
+    return v if v.ndim else float(v)
 
 
 def payoff_classic_vieta(K: float, m: int, k: int, a: float, J: int) -> float:
@@ -113,16 +118,6 @@ def payoff_classic_simpson(K: float, m: int, k: int, a: float, n_points: int) ->
     return float(3.0 * h / 8.0 * np.dot(w, f))
 
 
-@dataclass(frozen=True)
-class TrigMoments:
-    """C = int_a^z (e^z-e^y) cos(q y) dy and S likewise with sin."""
-
-    Cn: float
-    Sn: float
-    q: float
-    p: float
-
-
 def _trig_moments_arrays(q, a: float, z):
     """Closed-form C, S for frequencies q (q = 0 handled as limit).
 
@@ -142,14 +137,6 @@ def _trig_moments_arrays(q, a: float, z):
         out_c = np.where(zero, ez * (z - a) - (ez - ea), out_c)
         out_s = np.where(zero, 0.0, out_s)
     return out_c, out_s
-
-
-def trig_moments(n_over_N: float, m: int, a: float, z: float) -> TrigMoments:
-    """Cosine/sine moments of (e^z - e^y) at frequency q = (n/N) pi 2^m."""
-    p = np.pi * 2.0**m
-    q = float(n_over_N) * p
-    c, s = _trig_moments_arrays(np.array([q]), a, z)
-    return TrigMoments(Cn=float(c[0]), Sn=float(s[0]), q=q, p=p)
 
 
 def em_correction_D(m: int, a: float, z):
@@ -247,39 +234,3 @@ def payoff_fft_euler_maclaurin(job: PayoffJob, corrected: bool = True) -> Coeffi
         vals = vals - np.pi * sign / (24.0 * job.N**2) * scale * (d_cap - ks * s_cap[0])
     return CoefficientArray(job.k1, vals)
 
-
-class PayoffCache:
-    """Dense lazy (m, k) table of forward payoff coefficients.
-
-    Entries are written once and never mutated afterwards; concurrent
-    readers and writers are serialized by a lock around the fill, so a
-    cached value is always bit-identical to the direct evaluation.
-    """
-
-    def __init__(self, K: float, F: float, a: float,
-                 m_range=(2, 8), k_range=(-512, 512)):
-        self.K = float(K)
-        self.F = float(F)
-        self.a = float(a)
-        self.m_lo, self.m_hi = int(m_range[0]), int(m_range[1])
-        self.k_lo, self.k_hi = int(k_range[0]), int(k_range[1])
-        if self.m_lo < 1 or self.m_hi < self.m_lo:
-            raise ValueError("bad m range")
-        if self.k_hi <= self.k_lo:
-            raise ValueError("bad k range")
-        shape = (self.m_hi - self.m_lo + 1, self.k_hi - self.k_lo + 1)
-        self._table = np.empty(shape)
-        self._filled = np.zeros(shape, dtype=bool)
-        self._lock = threading.Lock()
-
-    def value(self, m: int, k: int) -> float:
-        if not (self.m_lo <= m <= self.m_hi and self.k_lo <= k <= self.k_hi):
-            raise IndexError(f"(m={m}, k={k}) outside cache bounds")
-        i, j = m - self.m_lo, k - self.k_lo
-        if self._filled[i, j]:
-            return float(self._table[i, j])
-        with self._lock:
-            if not self._filled[i, j]:
-                self._table[i, j] = payoff_forward_si_ein(self.K, self.F, m, k, self.a)
-                self._filled[i, j] = True
-        return float(self._table[i, j])

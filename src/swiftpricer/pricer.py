@@ -163,8 +163,8 @@ class PricingContext:
 
     def _payoff_forward(self, K: float) -> np.ndarray:
         g = self.grid
-        return np.array([payoff_forward_si_ein(K, self.model.forward, g.m, k, g.a)
-                         for k in range(g.k1, g.k2)])
+        return payoff_forward_si_ein(K, self.model.forward, g.m,
+                                     np.arange(g.k1, g.k2), g.a)
 
     def _price_put_classic(self, K: float) -> float:
         # strike-centered payoff over the shifted window [a+z, z]: the
@@ -181,7 +181,7 @@ class PricingContext:
                 f"classic payoff window [{k1c}, {k2c}) not covered by the "
                 f"density range [{g.k1}, {g.k2}); widen the grid")
         ks = np.arange(k1c, k2c)
-        V = np.array([payoff_classic_si_ein(K, g.m, k - shift, g.a) for k in ks])
+        V = payoff_classic_si_ein(K, g.m, ks - shift, g.a)
         c = self.coeffs.values[k1c - g.k1: k2c - g.k1]
         return float(self.model.discount * np.dot(c, V))
 
@@ -311,10 +311,14 @@ def reference_put(model: ModelSpec, K: float, tol: float = 1e-10) -> float:
                                   / (u^2 + 1/4) du ],   X = ln(F/K),
 
     integrated panelwise by adaptive Gauss-Kronrod with the tail truncated
-    where the cf envelope bounds the remainder below tol/10.
+    where the cf envelope bounds the remainder below tol/10.  K = 0 prices
+    an exact 0; a negative or non-finite K raises ``ValueError``.
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
+    _check_strikes([K])
+    if K == 0.0:
+        return 0.0
     F, B = model.forward, model.discount
     X = np.log(F / K)
 

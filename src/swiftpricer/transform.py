@@ -1,12 +1,12 @@
-"""Power-of-two transforms: unscaled inverse DFT (numpy's FFT), and DCT-II /
-DST-II each computed from a single same-size FFT (Makhoul's even-odd
-reordering), plus the combined cosine+sine evaluation used for payoff
-coefficients.
+"""Power-of-two transforms: unscaled inverse DFT (numpy's FFT), DCT-II and
+DST-II (scipy.fft, each one FFT of the same size), plus the combined
+cosine+sine evaluation used for payoff coefficients.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.fft import dct, dst
 
 
 def _check_pow2(n: int) -> None:
@@ -25,37 +25,19 @@ def inverse_dft(buf) -> np.ndarray:
     return np.fft.ifft(f, norm="forward")
 
 
-def _makhoul_phase(n: int) -> np.ndarray:
-    # e^{+i pi k / (2N)}; with real reordered input, DFT = conj(IDFT), so
-    # Re[DFT(c)_k e^{-i pi k/(2N)}] = Re[IDFT(c)_k e^{+i pi k/(2N)}] and the
-    # DST recovery picks the matching +Im part
-    return np.exp(1j * np.pi * np.arange(n) / (2 * n))
-
-
 def dct2_via_fft(a) -> np.ndarray:
     """DCT-II: a_hat_k = sum_j a_j cos(pi k (j+1/2)/N), one FFT of size N."""
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    _check_pow2(n)
-    if n == 1:
-        return a.copy()
-    c = np.empty(n, dtype=float)
-    c[: n // 2] = a[0::2]
-    c[n // 2:] = a[1::2][::-1]
-    return (inverse_dft(c) * _makhoul_phase(n)).real
+    _check_pow2(a.shape[0])
+    return 0.5 * dct(a, type=2)
 
 
 def dst2_via_fft(b) -> np.ndarray:
     """DST-II: b_hat_k = sum_j b_j sin(pi k (j+1/2)/N), one FFT of size N."""
     b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    _check_pow2(n)
-    if n == 1:
-        return np.zeros(1)
-    c = np.empty(n, dtype=float)
-    c[: n // 2] = b[0::2]
-    c[n // 2:] = -b[1::2][::-1]
-    return (inverse_dft(c) * _makhoul_phase(n)).imag
+    _check_pow2(b.shape[0])
+    # scipy's row j is frequency j+1; frequency 0 is identically zero
+    return np.concatenate([[0.0], 0.5 * dst(b, type=2)[:-1]])
 
 
 def _extend_indices(ks: np.ndarray, n: int):
@@ -88,8 +70,8 @@ def cos_sin_sum(a, b, k_range) -> np.ndarray:
 
     ``k_range`` is any iterable of integers (negative and >= N allowed; they
     are folded back by the parity/period structure of the half-sample
-    angles).  Internally one FFT serves the DCT and one the DST, and the
-    two phase rotations are applied together.
+    angles).  One DCT-II and one DST-II of size N fill the table for
+    k = 0..N.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -99,22 +81,9 @@ def cos_sin_sum(a, b, k_range) -> np.ndarray:
     _check_pow2(n)
     ks = np.asarray(list(k_range) if not isinstance(k_range, np.ndarray) else k_range,
                     dtype=np.int64)
-    if n == 1:
-        cos_tab = np.array([1.0, 0.0]) * a[0]
-        sin_tab = np.array([0.0, 1.0]) * b[0]
-    else:
-        ca = np.empty(n, dtype=float)
-        ca[: n // 2] = a[0::2]
-        ca[n // 2:] = a[1::2][::-1]
-        cb = np.empty(n, dtype=float)
-        cb[: n // 2] = b[0::2]
-        cb[n // 2:] = -b[1::2][::-1]
-        phase = _makhoul_phase(n)
-        ga = inverse_dft(ca) * phase
-        gb = inverse_dft(cb) * phase
-        signs = 1.0 - 2.0 * (np.arange(n) & 1)  # (-1)^j
-        # index N: cos(pi(j+1/2)) = 0, sin(pi(j+1/2)) = (-1)^j
-        cos_tab = np.concatenate([ga.real, [0.0]])
-        sin_tab = np.concatenate([gb.imag, [float(np.dot(signs, b))]])
+    # table rows k = 0..N; at k = N the cosines vanish, and scipy's DST-II
+    # row j is frequency j+1
+    cos_tab = np.concatenate([0.5 * dct(a, type=2), [0.0]])
+    sin_tab = np.concatenate([[0.0], 0.5 * dst(b, type=2)])
     idx, sc, ss = _extend_indices(ks, n)
     return sc * cos_tab[idx] + ss * sin_tab[idx]

@@ -74,7 +74,8 @@ def quad_ein(z, tol=1e-13):
     def fre(t):
         if t == 0.0:
             return a
-        return (1.0 - np.exp(-a * t) * np.cos(b * t)) / t
+        # 1 - e^{-at} cos(bt) without cancellation at small |z| t
+        return (-np.expm1(-a * t) + 2.0 * np.exp(-a * t) * np.sin(0.5 * b * t) ** 2) / t
 
     limit = max(200, int(abs(b) / np.pi) * 4 + 50)
     re, _ = quad(fre, 0.0, 1.0, epsabs=tol, epsrel=tol, limit=limit)

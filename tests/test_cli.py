@@ -202,6 +202,22 @@ class TestErrorSweep:
         for row in rows[:2]:
             assert abs(float(row[5])) < 1e-6  # forward-route error
 
+    @pytest.mark.parametrize("strike", ["-1", "nan", "inf"])
+    def test_bad_strike_exit_code(self, capsys, lognormal_file, strike):
+        code, out, err = run_cli(capsys, "error-sweep", "--model", lognormal_file,
+                                 "--strike", strike)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "strike" in err
+
+    def test_zero_strike_prices_zero(self, capsys, lognormal_file):
+        code, out, _ = run_cli(capsys, "error-sweep", "--model", lognormal_file,
+                               "--strike", "0", "--strike", "95")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [float(cell) for cell in rows[0][:6]] == [0.0] * 6
+        assert abs(float(rows[1][5])) < 1e-6  # forward-route error at K=95
+
 
 class TestBench:
     def test_bench_shape_and_warning(self, capsys, heston_short_file):

@@ -28,6 +28,16 @@ class TestValidation:
             HestonParams(v0=0.1, kappa=-1.0, theta=0.1, sigma=1.0, rho=0.0)
         with pytest.raises(ValueError):
             HestonParams(v0=0.1, kappa=1.0, theta=0.1, sigma=0.0, rho=0.0)
+        good = dict(v0=0.1, kappa=1.0, theta=0.1, sigma=1.0, rho=0.0)
+        for name in ("v0", "kappa", "theta", "sigma", "rho"):
+            for bad in (float("inf"), float("nan")):
+                with pytest.raises(ValueError, match=name):
+                    HestonParams(**{**good, name: bad})
+
+    @pytest.mark.parametrize("vol", [0.0, float("inf"), float("nan")])
+    def test_lognormal_invariants(self, vol):
+        with pytest.raises(ValueError, match="vol"):
+            LognormalParams(vol=vol)
 
     def test_model_invariants(self):
         dyn = LognormalParams(vol=0.2)
@@ -37,6 +47,19 @@ class TestValidation:
             ModelSpec(forward=1.0, maturity=0.0, discount=1.0, dynamics=dyn)
         with pytest.raises(ValueError):
             ModelSpec(forward=1.0, maturity=1.0, discount=1.2, dynamics=dyn)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="forward"):
+                ModelSpec(forward=bad, maturity=1.0, discount=1.0, dynamics=dyn)
+            with pytest.raises(ValueError, match="maturity"):
+                ModelSpec(forward=1.0, maturity=bad, discount=1.0, dynamics=dyn)
+            with pytest.raises(ValueError, match="discount"):
+                ModelSpec(forward=1.0, maturity=1.0, discount=bad, dynamics=dyn)
+
+    def test_json_infinity_rejected(self):
+        doc = json.loads('{"forward": 1.0, "maturity": 1.0, "discount": 1.0,'
+                         ' "lognormal": {"vol": Infinity}}')
+        with pytest.raises(ValueError, match="vol"):
+            model_from_dict(doc)
 
 
 class TestCharFn:

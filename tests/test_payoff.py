@@ -1,16 +1,14 @@
 """Tests for the payoff-coefficient routes."""
 
-import threading
-
 import numpy as np
 import pytest
 
 from oracles import quad_payoff_classic, quad_payoff_forward
 from scipy.integrate import quad
-from swiftpricer import (PayoffCache, PayoffJob, em_correction_D,
-                         payoff_classic_si_ein, payoff_classic_simpson,
-                         payoff_classic_vieta, payoff_fft_euler_maclaurin,
-                         payoff_forward_si_ein, trig_moments)
+from swiftpricer import (PayoffJob, em_correction_D, payoff_classic_si_ein,
+                         payoff_classic_simpson, payoff_classic_vieta,
+                         payoff_fft_euler_maclaurin, payoff_forward_si_ein)
+from swiftpricer.payoff import _trig_moments_arrays
 
 # accuracy-table anchors for (K=1, m=6, k=-1, a=-1)
 TABLE_CLOSED = 0.0020420954069492
@@ -50,6 +48,13 @@ class TestClassicSiEin:
         v = payoff_classic_si_ein(1.0, 5, 2.37, -1.0)
         ref = quad_payoff_classic(1.0, 5, 2.37, -1.0)
         assert v == pytest.approx(ref, abs=1e-13, rel=1e-12)
+
+    def test_array_k_equals_scalar_calls(self):
+        ks = np.concatenate([np.arange(-70, 70), [2.37, -0.5, 1e-9]])
+        got = payoff_classic_si_ein(1.3, 6, ks, -1.0)
+        assert got.shape == ks.shape
+        ref = np.array([payoff_classic_si_ein(1.3, 6, k, -1.0) for k in ks])
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
 
     def test_rejects_nonnegative_a(self):
         with pytest.raises(ValueError):
@@ -98,6 +103,16 @@ class TestForwardSiEin:
         ref = quad_payoff_forward(1.2, 1.0, 8, 10, -0.2815)
         assert v == pytest.approx(ref, abs=1e-13, rel=1e-12)
 
+    def test_array_k_equals_scalar_calls(self):
+        # 2^m z = 46.7 puts k near 47 on the small-|z| Taylor branch of Ein
+        ks = np.arange(-80, 200)
+        got = payoff_forward_si_ein(1.2, 1.0, 8, ks, -0.2815)
+        assert got.shape == ks.shape
+        ref = np.array([payoff_forward_si_ein(1.2, 1.0, 8, k, -0.2815) for k in ks])
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+        empty = payoff_forward_si_ein(np.exp(-0.5), 1.0, 6, ks, -0.5)
+        assert np.array_equal(empty, np.zeros(ks.shape))
+
     @pytest.mark.parametrize("K,F,m,k,a", [
         (0.8, 1.0, 5, -7, -1.0), (1.5, 1.0, 6, 40, -0.5),
         (90.0, 100.0, 4, -3, -2.0), (3.0, 1.0, 2, 1, -4.0),
@@ -110,30 +125,29 @@ class TestForwardSiEin:
 
 class TestTrigMoments:
     def test_empty_interval(self):
-        tm = trig_moments(0.25, 6, -1.0, -1.0)
-        assert tm.Cn == 0.0 and tm.Sn == 0.0
+        c, s = _trig_moments_arrays(0.25 * np.pi * 2**6, -1.0, -1.0)
+        assert c == 0.0 and s == 0.0
 
     def test_zero_frequency_limit(self):
         a, z = -1.0, 0.1
-        tm = trig_moments(0.0, 6, a, z)
-        assert tm.Cn == pytest.approx(np.exp(z) * (z - a) - (np.exp(z) - np.exp(a)),
-                                      rel=1e-14)
-        assert tm.Sn == 0.0
+        c, s = _trig_moments_arrays(0.0, a, z)
+        assert c == pytest.approx(np.exp(z) * (z - a) - (np.exp(z) - np.exp(a)),
+                                  rel=1e-14)
+        assert s == 0.0
         # continuity: tiny q approaches the limit
-        tm_eps = trig_moments(1e-9 / (np.pi * 2**6), 6, a, z)
-        assert tm_eps.Cn == pytest.approx(tm.Cn, rel=1e-9)
+        c_eps, _ = _trig_moments_arrays(1e-9, a, z)
+        assert c_eps == pytest.approx(c, rel=1e-9)
 
     def test_against_quadrature(self):
-        m, a, z = 6, -1.0, 0.1
-        tm = trig_moments(3.0 / 16.0, m, a, z)
-        q = tm.q
+        a, z = -1.0, 0.1
+        q = 3.0 / 16.0 * np.pi * 64
+        c, s = _trig_moments_arrays(q, a, z)
         c_ref, _ = quad(lambda y: (np.exp(z) - np.exp(y)) * np.cos(q * y), a, z,
                         epsabs=1e-15, limit=300)
         s_ref, _ = quad(lambda y: (np.exp(z) - np.exp(y)) * np.sin(q * y), a, z,
                         epsabs=1e-15, limit=300)
-        assert tm.Cn == pytest.approx(c_ref, abs=1e-13)
-        assert tm.Sn == pytest.approx(s_ref, abs=1e-13)
-        assert tm.q == pytest.approx(3.0 / 16.0 * np.pi * 64, rel=1e-15)
+        assert c == pytest.approx(c_ref, abs=1e-13)
+        assert s == pytest.approx(s_ref, abs=1e-13)
 
 
 class TestEmCorrectionD:
@@ -155,7 +169,7 @@ class TestEmCorrectionD:
         ref, _ = quad(lambda y: (2**m * y - k) * (np.exp(z) - np.exp(y))
                       * np.sin(np.pi * (2**m * y - k)),
                       a, z, epsabs=1e-15, limit=2000)
-        s_cap = trig_moments(1.0, m, a, z).Sn
+        _, s_cap = _trig_moments_arrays(p, a, z)
         d_cap = em_correction_D(m, a, z)
         assert (-1.0) ** k * (d_cap - k * s_cap) == pytest.approx(ref, abs=1e-12)
 
@@ -200,41 +214,3 @@ class TestEulerMaclaurinFft:
         with pytest.raises(ValueError):
             PayoffJob(K=0.0, F=1.0, m=6, a=-1.0, b=1.0, k1=-8, k2=8, N=64)
 
-
-class TestPayoffCache:
-    def test_bit_identical_to_direct(self):
-        cache = PayoffCache(K=1.1, F=1.0, a=-0.9, m_range=(2, 8),
-                            k_range=(-512, 512))
-        for m in (2, 5, 8):
-            for k in (-512, -17, 0, 33, 512):
-                direct = payoff_forward_si_ein(1.1, 1.0, m, k, -0.9)
-                assert cache.value(m, k) == direct
-                assert cache.value(m, k) == direct  # second read: cached
-
-    def test_bounds_checked(self):
-        cache = PayoffCache(K=1.0, F=1.0, a=-1.0, m_range=(2, 4), k_range=(-8, 8))
-        with pytest.raises(IndexError):
-            cache.value(5, 0)
-        with pytest.raises(IndexError):
-            cache.value(3, 9)
-
-    def test_concurrent_fill_consistent(self):
-        cache = PayoffCache(K=1.05, F=1.0, a=-0.6, m_range=(3, 6),
-                            k_range=(-64, 64))
-        results = [{} for _ in range(8)]
-
-        def worker(slot):
-            for m in range(3, 7):
-                for k in range(-64, 65, 3):
-                    results[slot][(m, k)] = cache.value(m, k)
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        base = results[0]
-        for other in results[1:]:
-            assert other == base
-        for (m, k), v in base.items():
-            assert v == payoff_forward_si_ein(1.05, 1.0, m, k, -0.6)

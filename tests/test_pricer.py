@@ -322,6 +322,15 @@ class TestReferencePut:
         assert f"{ref_call:.4g}" == "0.006361"
         assert ref_call == pytest.approx(0.0063611 - 3.97e-07, abs=1e-6)
 
+    def test_zero_strike_exact(self, lognormal):
+        assert reference_put(lognormal, 0.0) == 0.0
+        assert reference_call(lognormal, 0.0) == lognormal.discount * lognormal.forward
+
+    @pytest.mark.parametrize("K", [-1.0, float("nan"), float("inf")])
+    def test_bad_strikes_rejected(self, lognormal, K):
+        with pytest.raises(ValueError, match="strike"):
+            reference_put(lognormal, K)
+
     def test_call_parity(self, lognormal):
         put = reference_put(lognormal, 120.0)
         call = reference_call(lognormal, 120.0)

@@ -69,13 +69,46 @@ class TestEin:
             ref = np.euler_gamma + np.log(z) + exp1(z)
             assert abs(ein(z) - ref) <= 1e-13 * abs(ref)
 
+    @pytest.mark.parametrize("r", [1e-8, 1e-3, 0.5])
+    def test_small_argument_against_quadrature(self, r):
+        # the Taylor branch, where gamma + log z + E1(z) would cancel
+        for theta in np.linspace(-np.pi, np.pi, 13):
+            z = r * complex(np.cos(theta), np.sin(theta))
+            ref = quad_ein(z)
+            assert abs(ein(z) - ref) <= 1e-12 * abs(ref)
+
     def test_crossover_continuity(self):
-        # points straddling the |z| = 10 and |z| = 40 algorithm switches
-        for r, theta in [(10.0, 0.3), (10.0, 2.0), (40.0, 1.2), (40.0, 2.8)]:
+        # points straddling |z| = 1, where the Taylor series hands over to
+        # the exp1 identity, and spot checks on |z| = 10 and 40
+        for r, theta in [(1.0, 0.0), (1.0, 0.7), (1.0, 1.6), (1.0, 2.5),
+                         (1.0, np.pi), (1.0, -2.0), (10.0, 0.3), (10.0, 2.0),
+                         (40.0, 1.2), (40.0, 2.8)]:
             for eps in (-1e-9, 1e-9):
                 z = (r + eps) * complex(np.cos(theta), np.sin(theta))
                 ref = quad_ein(z)
                 assert abs(ein(z) - ref) <= 1e-12 * max(abs(ref), 1e-6)
+
+
+class TestArrayCalls:
+    def test_ein_array_equals_scalar_calls(self):
+        rng = np.random.default_rng(17)
+        zs = np.concatenate([
+            rng.uniform(-50, 50, 200) + 1j * rng.uniform(-5000, 5000, 200),
+            rng.uniform(-1.5, 1.5, 200) + 1j * rng.uniform(-1.5, 1.5, 200),
+            [0.0, 1.0, -1.0, 1j, -1j, 2.0 - 0.0j]]).reshape(2, -1)
+        got = ein(zs)
+        assert got.shape == zs.shape
+        ref = np.array([[ein(complex(z)) for z in row] for row in zs])
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+
+    def test_si_array_equals_scalar_calls(self):
+        rng = np.random.default_rng(18)
+        xs = np.concatenate([rng.uniform(-1e5, 1e5, 200), rng.uniform(-8, 8, 200),
+                             [0.0, -0.0, 6.0, -40.0]])
+        got = si(xs)
+        assert got.shape == xs.shape
+        ref = np.array([si(float(x)) for x in xs])
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
 
 
 class TestExpSinIntegral:

@@ -1,4 +1,4 @@
-"""Tests for the radix-2 FFT and the DCT/DST constructions."""
+"""Tests for the inverse DFT and the DCT/DST constructions."""
 
 import numpy as np
 import pytest
