@@ -154,10 +154,10 @@ def cmd_price_table(args) -> int:
         grid = WaveletGrid(m=exp["m"], k1=exp["k1"], k2=exp["k2"], J=exp["J"],
                            N=max(32, exp["k2"] - exp["k1"]),
                            a=exp["k1"] / 2.0**exp["m"], b=exp["k2"] / 2.0**exp["m"])
+        refs = reference_put(model, [K for K, _ in exp["strikes"]]).tolist()
         for strategy in ("midpoint", "trapezoidal"):
             ctx = PricingContext(model, grid, strategy)
-            for K, side in exp["strikes"]:
-                ref = reference_put(model, K)
+            for (K, side), ref in zip(exp["strikes"], refs):
                 res = ctx.price_put(K, args.payoff)
                 price, refp = res.price, ref
                 if side == "call":
@@ -228,9 +228,8 @@ def cmd_error_sweep(args) -> int:
     grid = WaveletGrid(m=m, k1=k1, k2=k2, J=J, N=n_pay, a=a, b=b, L=L)
     ctx = PricingContext(model, grid, args.density)
     rows = []
-    for K in strikes:
+    for K, ref in zip(strikes, reference_put(model, checked).tolist()):
         flag = "beyond_truncation" if K > 0 and np.log(K / model.forward) > b else ""
-        ref = reference_put(model, K)
         fwd = ctx.price_put(K, "forward").price
         try:
             cls = ctx.price_put(K, "classic").price
@@ -264,9 +263,9 @@ def cmd_bench(args) -> int:
 
     t_fft = med(lambda: payoff_fft_euler_maclaurin(job))
     rows.append(("payoff", "em_fft", grid.k2 - grid.k1, t_fft, "", warn))
-    t_direct = med(lambda: [payoff_forward_si_ein(model.forward, model.forward,
-                                                  grid.m, k, grid.a)
-                            for k in range(grid.k1, grid.k2)])
+    ks = np.arange(grid.k1, grid.k2)
+    t_direct = med(lambda: payoff_forward_si_ein(model.forward, model.forward,
+                                                 grid.m, ks, grid.a))
     rows.append(("payoff", "si_ein_per_k", grid.k2 - grid.k1, t_direct, "", warn))
 
     djob = DensityJob(model, grid.m, grid.J, grid.k1, grid.k2)
@@ -287,6 +286,22 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--model", help="path to a JSON model file")
+    common.add_argument("--strike", type=float, action="append",
+                        help="strike (repeatable)")
+    common.add_argument("--m", type=int, default=None, help="wavelet scale")
+    common.add_argument("--J", type=int, default=None, help="density resolution exponent")
+    common.add_argument("--N", type=int, default=None, help="payoff FFT size")
+    common.add_argument("--L", type=float, default=None, help="cumulant truncation level")
+    common.add_argument("--mass-tol", type=float, default=1e-8, dest="mass_tol")
+    common.add_argument("--density", choices=("midpoint", "trapezoidal", "filon"),
+                        default="trapezoidal")
+    common.add_argument("--payoff", choices=("classic", "forward", "em-fft"),
+                        default="forward")
+    common.add_argument("--out", default=None, help="output path (default: stdout)")
+    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    common.add_argument("--reps", type=int, default=3)
     ap = argparse.ArgumentParser(prog="swiftpricer",
                                  description="Shannon-wavelet option pricing harness")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -300,23 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench": cmd_bench,
     }
     for name, fn in commands.items():
-        p = sub.add_parser(name)
-        p.set_defaults(fn=fn)
-        p.add_argument("--model", help="path to a JSON model file")
-        p.add_argument("--strike", type=float, action="append",
-                       help="strike (repeatable)")
-        p.add_argument("--m", type=int, default=None, help="wavelet scale")
-        p.add_argument("--J", type=int, default=None, help="density resolution exponent")
-        p.add_argument("--N", type=int, default=None, help="payoff FFT size")
-        p.add_argument("--L", type=float, default=None, help="cumulant truncation level")
-        p.add_argument("--mass-tol", type=float, default=1e-8, dest="mass_tol")
-        p.add_argument("--density", choices=("midpoint", "trapezoidal", "filon"),
-                       default="trapezoidal")
-        p.add_argument("--payoff", choices=("classic", "forward", "em-fft"),
-                       default="forward")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--reps", type=int, default=3)
+        sub.add_parser(name, parents=[common]).set_defaults(fn=fn)
     return ap
 
 

@@ -52,16 +52,26 @@ def payoff_classic_si_ein(K: float, m: int, k, a: float):
     return v if v.ndim else float(v)
 
 
-def payoff_forward_si_ein(K: float, F: float, m: int, k, a: float):
+def _forward_a_terms(m: int, k, a: float):
+    """(Im Ein(-t_a/p + i t_a), Si(t_a)), t_a = pi(2^m a - k): the a-end
+    terms of the forward closed form, which do not depend on the strike."""
+    k = np.asarray(k, dtype=float)
+    p = np.pi * 2.0**m
+    t_a = np.pi * (2.0**m * a - k)
+    return ein(-t_a / p + 1j * t_a).imag, si(t_a)
+
+
+def payoff_forward_si_ein(K: float, F: float, m: int, k, a: float, a_terms=None):
     """Forward-centered closed form over the put support [a, z], z = ln(K/F).
 
       V = K/(2^{m/2} pi) * ( e^{k/2^m - z} Im[Ein(-t_a/p + i t_a)
                                               - Ein(-t_z/p + i t_z)]
                              + Si(t_z) - Si(t_a) )
 
-    ``k`` may be an array (one coefficient per entry, same shape).  Zero
-    when z <= a (empty support); coincides with the classic form at z = 0
-    (K = F).
+    ``k`` may be an array (one coefficient per entry, same shape).
+    ``a_terms`` is ``_forward_a_terms(m, k, a)`` when the caller keeps it
+    across strikes; computed here otherwise.  Zero when z <= a (empty
+    support); coincides with the classic form at z = 0 (K = F).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -70,11 +80,11 @@ def payoff_forward_si_ein(K: float, F: float, m: int, k, a: float):
     if z <= a:
         v = np.zeros(k.shape)
     else:
+        ein_a, si_a = _forward_a_terms(m, k, a) if a_terms is None else a_terms
         p = np.pi * 2.0**m
-        t_a = np.pi * (2.0**m * a - k)
         t_z = np.pi * (2.0**m * z - k)
-        ein_term = ein(-t_a / p + 1j * t_a).imag - ein(-t_z / p + 1j * t_z).imag
-        si_term = si(t_z) - si(t_a)
+        ein_term = ein_a - ein(-t_z / p + 1j * t_z).imag
+        si_term = si(t_z) - si_a
         v = K / (2.0 ** (m / 2.0) * np.pi) * (np.exp(k / 2.0**m - z) * ein_term
                                                + si_term)
     return v if v.ndim else float(v)

@@ -5,19 +5,17 @@ grid, and provide the independent reference pricer used for error columns.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .density import (CoefficientArray, DensityJob, density_filon,
                       density_mass, density_midpoint_fft,
                       density_trapezoidal_fft)
 from .models import Cumulants, ModelSpec, char_fn, cumulants
-from .payoff import (_trig_moments_arrays, em_correction_D, payoff_classic_si_ein,
-                     payoff_forward_si_ein)
+from .payoff import (_forward_a_terms, _trig_moments_arrays, em_correction_D,
+                     payoff_classic_si_ein, payoff_forward_si_ein)
 from .transform import inverse_dft
 
 DENSITY_STRATEGIES = ("midpoint", "trapezoidal", "filon")
@@ -145,9 +143,9 @@ class PricingContext:
     """Model + grid + density coefficients, computed once and then shared.
 
     Pricing different strikes against the same context reuses the density
-    work.  The only state set after initialization is the em_fft sums,
-    filled on first use by a deterministic computation, so concurrent
-    pricing stays safe.
+    work.  The only state set after initialization is the em_fft sums and
+    the forward payoff's a-end terms, each filled on first use by a
+    deterministic computation, so concurrent pricing stays safe.
     """
 
     def __init__(self, model: ModelSpec, grid: WaveletGrid,
@@ -161,10 +159,16 @@ class PricingContext:
     def density_mass(self) -> float:
         return density_mass(self.coeffs, self.grid.m)
 
+    @cached_property
+    def _forward_a_end(self):
+        """The strike-independent a-end terms of the forward payoff."""
+        g = self.grid
+        return _forward_a_terms(g.m, np.arange(g.k1, g.k2), g.a)
+
     def _payoff_forward(self, K: float) -> np.ndarray:
         g = self.grid
         return payoff_forward_si_ein(K, self.model.forward, g.m,
-                                     np.arange(g.k1, g.k2), g.a)
+                                     np.arange(g.k1, g.k2), g.a, self._forward_a_end)
 
     def _price_put_classic(self, K: float) -> float:
         # strike-centered payoff over the shifted window [a+z, z]: the
@@ -301,7 +305,7 @@ class ReferenceError(RuntimeError):
     pass
 
 
-def reference_put(model: ModelSpec, K: float, tol: float = 1e-10) -> float:
+def reference_put(model: ModelSpec, K, tol: float = 1e-10):
     """Independent reference put price by damped Fourier inversion.
 
     Uses the fixed -i/2 damping contour (always inside the moment strip of
@@ -311,48 +315,120 @@ def reference_put(model: ModelSpec, K: float, tol: float = 1e-10) -> float:
                                   / (u^2 + 1/4) du ],   X = ln(F/K),
 
     integrated panelwise by adaptive Gauss-Kronrod with the tail truncated
-    where the cf envelope bounds the remainder below tol/10.  K = 0 prices
-    an exact 0; a negative or non-finite K raises ``ValueError``.
+    where the cf envelope bounds the remainder below tol/10.  ``K`` may be a
+    scalar (float out) or a 1-D strike array (ndarray out): the strikes
+    share every cf evaluation and differ only in e^{i u X}, and the tail is
+    cut at the smallest of their budgets.  K = 0 prices an exact 0; a
+    negative or non-finite K raises ``ValueError``.
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
-    _check_strikes([K])
-    if K == 0.0:
-        return 0.0
+    scalar = np.ndim(K) == 0
+    strikes = _check_strikes([K] if scalar else K)
     F, B = model.forward, model.discount
-    X = np.log(F / K)
+    puts = np.zeros(strikes.shape)
+    live = strikes > 0.0
+    if live.any():
+        Kl = strikes[live]
+        # tail cut: |integrand| <= |psi(u - i/2)|/u^2, so remainder <= env/U
+        budget = np.min(tol / 10.0 * np.pi / np.sqrt(F * Kl) * np.maximum(Kl, F * 1e-8))
+        u_max = 50.0
+        while u_max < 1e8:
+            env = np.max(np.abs(char_fn(model, np.array([1.0, 1.3, 1.7]) * u_max - 0.5j)))
+            if env / u_max <= budget or env == 0.0:
+                break
+            u_max *= 1.7
+        else:
+            raise ReferenceError(f"cf tail does not decay below the budget by u = {u_max:.3g}")
+        edges = np.unique(np.concatenate([
+            np.linspace(0.0, min(u_max, 200.0), 21),
+            np.geomspace(max(1.0, min(u_max, 200.0)), u_max, 12),
+        ]))
+        total = _damped_integral(model, np.log(F / Kl), edges)
+        puts[live] = B * (Kl - np.sqrt(F * Kl) / np.pi * total)
+    return float(puts[0]) if scalar else puts
 
-    def damped(u):
-        return complex(char_fn(model, complex(u, -0.5)))
 
-    def integrand(u):
-        return (np.exp(1j * u * X) * damped(u)).real / (u * u + 0.25)
+# QUADPACK's 21-point Kronrod rule on [-1, 1] and its embedded 10-point
+# Gauss rule (the Gauss nodes are every other Kronrod node, centre excluded)
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208745105380, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068])
+_WGK0 = 0.149445554002916905664936468389821
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+_GK_NODES = np.concatenate([-_XGK, [0.0], _XGK[::-1]])
+_GK_KRONROD = np.concatenate([_WGK, [_WGK0], _WGK[::-1]])
+_GK_GAUSS = np.zeros(21)
+_GK_GAUSS[1:10:2] = _WG
+_GK_GAUSS[11:20:2] = _WG[::-1]
+# Bisections of one panel before its pieces are accepted as they stand: at
+# most 2^9 pieces, the order of QUADPACK's default limit of 400 intervals
+_GK_MAX_DEPTH = 9
 
-    # tail cut: |integrand| <= |psi(u - i/2)|/u^2, so remainder <= env/U
-    budget = tol / 10.0 * np.pi / np.sqrt(F * K) * max(K, F * 1e-8)
-    u_max = 50.0
-    while u_max < 1e8:
-        env = max(abs(damped(u_max)), abs(damped(1.3 * u_max)), abs(damped(1.7 * u_max)))
-        if env / u_max <= budget or env == 0.0:
+
+def _damped_integral(model: ModelSpec, X: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """int_{edges[0]}^{edges[-1]} Re(e^{i u X} psi(u - i/2)) / (u^2 + 1/4) du
+    for each entry of X.
+
+    Adaptive 21-point Gauss-Kronrod by synchronous bisection: each round
+    evaluates the cf once on the nodes of every open piece, shared by all
+    X.  A piece is accepted when, for every X, QUADPACK's error estimate
+    meets its width share of max(1e-15, 1e-13 |I_panel|), I_panel being
+    the first estimate on its whole panel, or is down to the rounding
+    floor 50 eps int|f|.  Every open piece of round d is 2^-d of its panel.
+    """
+    lo, hi = edges[:-1], edges[1:]
+    panel = np.arange(lo.size)
+    total = np.zeros(X.shape)
+    target = None
+    for depth in range(_GK_MAX_DEPTH + 1):
+        half = 0.5 * (hi - lo)
+        u = ((0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES).ravel()
+        g = char_fn(model, u - 0.5j) / (u * u + 0.25)
+        val, err, floor = (np.empty((X.size, lo.size)) for _ in range(3))
+        step = max(1, _BLOCK_ELEMENTS // u.size)
+        for s in range(0, X.size, step):
+            rows = slice(s, s + step)
+            f = (np.exp(1j * X[rows, None] * u) * g).real.reshape(-1, lo.size, 21)
+            k_sum = f @ _GK_KRONROD
+            diff = np.abs(k_sum - f @ _GK_GAUSS) * half
+            resasc = np.abs(f - 0.5 * k_sum[..., None]) @ _GK_KRONROD * half
+            ratio = 200.0 * diff / np.where(resasc > 0.0, resasc, 1.0)
+            val[rows] = k_sum * half
+            err[rows] = np.where(resasc > 0.0, resasc * np.minimum(1.0, ratio) ** 1.5, diff)
+            floor[rows] = 50.0 * np.finfo(float).eps * (np.abs(f) @ _GK_KRONROD) * half
+        bad = ~np.isfinite(val).all(axis=0)
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            raise ReferenceError(f"quadrature failed on panel [{lo[i]}, {hi[i]}]")
+        if target is None:
+            target = np.maximum(1e-15, 1e-13 * np.abs(val))
+        done = (err <= np.maximum(target[:, panel] * 0.5**depth, floor)).all(axis=0)
+        done |= depth == _GK_MAX_DEPTH
+        total += val[:, done].sum(axis=1)
+        keep = ~done
+        if not keep.any():
             break
-        u_max *= 1.7
-    else:
-        raise ReferenceError(f"cf tail does not decay below the budget by u = {u_max:.3g}")
-
-    edges = np.unique(np.concatenate([
-        np.linspace(0.0, min(u_max, 200.0), 21),
-        np.geomspace(max(1.0, min(u_max, 200.0)), u_max, 12),
-    ]))
-    total = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            val, err = quad(integrand, lo, hi, limit=400, epsabs=1e-15, epsrel=1e-13)
-            if not np.isfinite(val):
-                raise ReferenceError(f"quadrature failed on panel [{lo}, {hi}]")
-            total += val
-    return float(B * (K - np.sqrt(F * K) / np.pi * total))
+        mid = 0.5 * (lo + hi)[keep]
+        lo, hi = np.concatenate([lo[keep], mid]), np.concatenate([mid, hi[keep]])
+        panel = np.tile(panel[keep], 2)
+    return total
 
 
-def reference_call(model: ModelSpec, K: float, tol: float = 1e-10) -> float:
-    return reference_put(model, K, tol) + model.discount * (model.forward - K)
+def reference_call(model: ModelSpec, K, tol: float = 1e-10):
+    """Reference call by put-call parity; ``K`` as for ``reference_put``."""
+    put = reference_put(model, K, tol)
+    strikes = K if np.ndim(K) == 0 else np.asarray(K, dtype=float)
+    return put + model.discount * (model.forward - strikes)

@@ -3,10 +3,12 @@
 import argparse
 import json
 
+import numpy as np
 import pytest
 
 from oracles import black76_put
 from swiftpricer import PricingContext, auto_grid, model_from_json, reference_put
+import swiftpricer.cli as cli_mod
 from swiftpricer.cli import build_parser, cmd_error_sweep, main
 
 TABLE1_EXPECTED = {
@@ -146,6 +148,19 @@ class TestPriceTable:
             assert abs(e) < 0.05 * max(1.0, p)
 
 
+    def test_one_reference_call_per_experiment(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(model, K, tol=1e-10):
+            calls.append(list(K))
+            return reference_put(model, K, tol)
+
+        monkeypatch.setattr(cli_mod, "reference_put", counting)
+        code, _, _ = run_cli(capsys, "price-table")
+        assert code == 0
+        assert calls == [[1.0064, 1.064], [250000.0, 4000000.0]]
+
+
 class TestDensityTable:
     def test_strategies_agree(self, capsys, heston_short_file):
         code, out, _ = run_cli(capsys, "density-table", "--model",
@@ -201,6 +216,18 @@ class TestErrorSweep:
         assert rows[2][6] in ("beyond_truncation", "window_uncovered")
         for row in rows[:2]:
             assert abs(float(row[5])) < 1e-6  # forward-route error
+
+    def test_reference_column_matches_per_strike(self, capsys, heston_short_file):
+        code, out, _ = run_cli(capsys, "error-sweep", "--model", heston_short_file)
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 40
+        model = model_from_json(heston_short_file)
+        strikes = [float(r[0]) for r in rows]
+        got = np.array([float(r[3]) for r in rows])
+        want = np.array([reference_put(model, K) for K in strikes])
+        scale = np.maximum(strikes, model.forward)
+        assert np.max(np.abs(got - want) / scale) <= 1e-13
 
     @pytest.mark.parametrize("strike", ["-1", "nan", "inf"])
     def test_bad_strike_exit_code(self, capsys, lognormal_file, strike):

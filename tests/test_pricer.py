@@ -5,14 +5,16 @@ import pytest
 from scipy.stats import norm
 
 from conftest import HESTON_HEAVY, HESTON_SHORT, LOGNORMAL_02
-from oracles import black76_call, black76_put
+from oracles import black76_call, black76_put, quad_reference_put
 from swiftpricer import (Cumulants, DensityJob, GridSelectionError, ModelSpec,
-                         LognormalParams, PayoffJob, PricingContext, WaveletGrid,
-                         auto_grid, char_fn, cumulants, density_trapezoidal_fft,
-                         payoff_fft_euler_maclaurin, reference_call,
-                         reference_put, select_k_range, select_scale,
-                         truncation_interval)
+                         LognormalParams, PayoffJob, PricingContext, ReferenceError,
+                         WaveletGrid, auto_grid, char_fn, cumulants,
+                         density_trapezoidal_fft, payoff_fft_euler_maclaurin,
+                         payoff_forward_si_ein, reference_call, reference_put,
+                         select_k_range, select_scale, truncation_interval)
 import swiftpricer.density as density_mod
+import swiftpricer.payoff as payoff_mod
+import swiftpricer.pricer as pricer_mod
 from swiftpricer.pricer import PAYOFF_STRATEGIES
 
 BLACK_ATM = 7.965567455405804  # Black-76 put, F=K=100, T=1, vol=0.2
@@ -137,6 +139,30 @@ class TestPricePut:
         grid = WaveletGrid(m=5, k1=-64, k2=64, J=11, N=128, a=-2.0, b=2.0)
         res = PricingContext(lognormal, grid).price_put(100.0).with_reference(BLACK_ATM)
         assert res.abs_error == res.price - BLACK_ATM
+
+
+class TestForwardRoute:
+    def test_a_end_terms_computed_once(self, heston_short, monkeypatch):
+        calls = {"n": 0}
+        real = payoff_mod.ein
+
+        def counting(z):
+            calls["n"] += 1
+            return real(z)
+
+        monkeypatch.setattr(payoff_mod, "ein", counting)
+        grid = short_grid()
+        ctx = PricingContext(heston_short, grid)
+        ks = np.arange(grid.k1, grid.k2)
+        c, F = ctx.coeffs.values, heston_short.forward
+        for i, K in enumerate((0.97, 1.0, 1.0064, 1.05)):
+            before = calls["n"]
+            price = ctx.price_put(K, "forward").price
+            # the first price also fills the context's a-end terms
+            assert calls["n"] - before == (2 if i == 0 else 1)
+            direct = heston_short.discount * np.dot(
+                c, payoff_forward_si_ein(K, F, grid.m, ks, grid.a))
+            assert abs(price - direct) <= 1e-15 * max(K, F)
 
 
 class TestPriceCall:
@@ -335,6 +361,66 @@ class TestReferencePut:
         put = reference_put(lognormal, 120.0)
         call = reference_call(lognormal, 120.0)
         assert call - put == pytest.approx(-20.0, rel=1e-14)
+
+    @pytest.mark.parametrize("model", [LOGNORMAL_02, HESTON_SHORT, HESTON_HEAVY],
+                             ids=["lognormal", "heston_short", "heston_heavy"])
+    def test_vector_matches_scalar_and_quad(self, model):
+        # every 4th of error-sweep's 40 default strikes, plus seeded ones
+        F = model.forward
+        a, b = truncation_interval(cumulants(model), 12.0)
+        rng = np.random.default_rng(4242)
+        strikes = np.concatenate([
+            F * np.linspace(np.exp(0.25 * a), np.exp(b) * (1 - 1e-9), 40)[::4],
+            F * np.exp(rng.uniform(0.25 * a, b, 6))])
+        scale = np.maximum(strikes, F)
+        batch = reference_put(model, strikes)
+        scalar = np.array([reference_put(model, float(K)) for K in strikes])
+        oracle = np.array([quad_reference_put(model, float(K), char_fn)
+                           for K in strikes])
+        assert np.max(np.abs(batch - scalar) / scale) <= 1e-13
+        assert np.max(np.abs(scalar - oracle) / scale) <= 1e-13
+        assert np.max(np.abs(batch - oracle) / scale) <= 1e-13
+
+    def test_scalar_and_vector_shapes(self, lognormal):
+        assert type(reference_put(lognormal, 100.0)) is float
+        assert type(reference_call(lognormal, 100.0)) is float
+        for strikes in ([90.0, 110.0], np.array([100.0]), np.array([])):
+            got = reference_put(lognormal, strikes)
+            assert isinstance(got, np.ndarray) and got.shape == np.shape(strikes)
+
+    def test_zero_strike_in_vector_exact(self, lognormal):
+        got = reference_put(lognormal, [0.0, 100.0, 0.0])
+        assert got[0] == 0.0 and got[2] == 0.0
+        assert got[1] == pytest.approx(BLACK_ATM, abs=1e-10)
+
+    @pytest.mark.parametrize("K", [-1.0, float("nan"), float("inf")])
+    def test_bad_strike_in_vector_rejected(self, lognormal, K):
+        for strikes in ([K, 100.0], [100.0, 90.0, K]):
+            with pytest.raises(ValueError, match="strike"):
+                reference_put(lognormal, strikes)
+
+    def test_undecayed_tail_raises(self):
+        frozen = ModelSpec(1.0, 1e-9, 1.0, LognormalParams(vol=1e-6))
+        with pytest.raises(ReferenceError, match="tail"):
+            reference_put(frozen, [0.9, 1.0])
+
+    def test_non_finite_panel_raises(self, lognormal, monkeypatch):
+        real = pricer_mod.char_fn
+
+        def holed(model, u):
+            out = real(model, u)
+            return np.where((u.real > 3.0) & (u.real < 4.0), np.nan, out)
+
+        monkeypatch.setattr(pricer_mod, "char_fn", holed)
+        with pytest.raises(ReferenceError, match="quadrature failed"):
+            reference_put(lognormal, [90.0, 100.0])
+
+    def test_call_parity_vector(self, lognormal):
+        strikes = np.array([0.0, 80.0, 100.0, 120.0])
+        calls = reference_call(lognormal, strikes)
+        assert calls[0] == lognormal.discount * lognormal.forward
+        assert np.allclose(calls - reference_put(lognormal, strikes),
+                           100.0 - strikes, rtol=1e-14, atol=0.0)
 
 
 class TestAutoGrid:
