@@ -21,9 +21,9 @@ from .models import HestonParams, ModelSpec, cumulants, model_from_json
 from .payoff import (PayoffJob, payoff_classic_si_ein, payoff_classic_simpson,
                      payoff_classic_vieta, payoff_fft_euler_maclaurin,
                      payoff_forward_si_ein)
-from .pricer import (GridSelectionError, PricingContext, ReferenceError,
-                     WaveletGrid, _check_strikes, auto_grid, reference_put,
-                     truncation_interval)
+from .pricer import (FILON_TOL, GridSelectionError, PricingContext,
+                     ReferenceError, WaveletGrid, _check_strikes, auto_grid,
+                     reference_put, truncation_interval)
 
 # The two Heston experiment configurations used by the built-in tables.
 # The quoted-price tables pair the short-maturity dynamics with F = 1 and
@@ -53,24 +53,26 @@ def _fmt_err(x) -> str:
     return f"{x:.17e}" if isinstance(x, float) else str(x)
 
 
+def _write(text, args):
+    """Write text to --out, or to stdout without one."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(rows, header, err_cols, args):
     """Write rows as CSV (17 significant digits, scientific errors) or JSON."""
     if args.format == "json":
         payload = [dict(zip(header, row)) for row in rows]
         text = json.dumps(payload, indent=2, default=str) + "\n"
     else:
-        lines = [",".join(header)]
-        for row in rows:
-            cells = []
-            for name, cell in zip(header, row):
-                cells.append(_fmt_err(cell) if name in err_cols else _fmt(cell))
-            lines.append(",".join(cells))
+        lines = [",".join(header)] + [
+            ",".join(_fmt_err(cell) if name in err_cols else _fmt(cell)
+                     for name, cell in zip(header, row)) for row in rows]
         text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args)
 
 
 def _grid_for(model: ModelSpec, args) -> WaveletGrid:
@@ -138,12 +140,7 @@ def cmd_price(args) -> int:
             "cf_evals": ctx.cf_evals,
             "elapsed_seconds": elapsed,
         })
-    text = json.dumps(results if len(results) > 1 else results[0], indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(results if len(results) > 1 else results[0], indent=2) + "\n", args)
     return 0
 
 
@@ -175,33 +172,35 @@ def cmd_density_table(args) -> int:
     job = DensityJob(model, grid.m, grid.J, grid.k1, grid.k2)
     mid = density_midpoint_fft(job)
     trap = density_trapezoidal_fft(job)
-    fil, _ = density_filon(model, grid.m, grid.k1, grid.k2, tol=1e-8)
-    rows = []
-    for i, k in enumerate(range(grid.k1, grid.k2)):
-        vieta = density_vieta_direct(model, grid.m, k, grid.J)
-        rows.append((k, mid.values[i], trap.values[i], fil.values[i], vieta))
+    fil, _ = density_filon(model, grid.m, grid.k1, grid.k2, tol=FILON_TOL)
+    ks = np.arange(grid.k1, grid.k2)
+    vieta = density_vieta_direct(model, grid.m, ks, grid.J)
+    rows = list(zip(ks.tolist(), mid.values, trap.values, fil.values, vieta))
     _emit(rows, ("k", "midpoint", "trapezoidal", "filon", "vieta_direct"), set(), args)
     return 0
+
+
+def _median_seconds(fn, reps: int) -> float:
+    """Median wall time of ``reps`` calls of ``fn``."""
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
 
 
 def cmd_init_table(args) -> int:
     model = model_from_json(args.model)
     grid = _grid_for(model, args)
     reps = max(1, args.reps)
-    rows = []
     job = DensityJob(model, grid.m, grid.J, grid.k1, grid.k2)
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        density_trapezoidal_fft(job)
-        times.append(time.perf_counter() - t0)
-    rows.append(("trapezoidal_fft", 1 << (grid.J - 1), statistics.median(times) * 1e6))
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        _, ne = density_filon(model, grid.m, grid.k1, grid.k2, tol=1e-8)
-        times.append(time.perf_counter() - t0)
-    rows.append(("filon", ne, statistics.median(times) * 1e6))
+    t_trap = _median_seconds(lambda: density_trapezoidal_fft(job), reps)
+    evals = []
+    t_fil = _median_seconds(lambda: evals.append(density_filon(
+        model, grid.m, grid.k1, grid.k2, tol=FILON_TOL)[1]), reps)
+    rows = [("trapezoidal_fft", 1 << (grid.J - 1), t_trap * 1e6),
+            ("filon", evals[-1], t_fil * 1e6)]
     _emit(rows, ("method", "cf_evals", "median_microseconds"), set(), args)
     return 0
 
@@ -253,32 +252,24 @@ def cmd_bench(args) -> int:
     job = PayoffJob(K=model.forward, F=model.forward, m=grid.m, a=grid.a,
                     b=grid.b, k1=grid.k1, k2=grid.k2, N=grid.N)
 
-    def med(fn):
-        ts = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            fn()
-            ts.append(time.perf_counter() - t0)
-        return statistics.median(ts)
-
-    t_fft = med(lambda: payoff_fft_euler_maclaurin(job))
+    t_fft = _median_seconds(lambda: payoff_fft_euler_maclaurin(job), reps)
     rows.append(("payoff", "em_fft", grid.k2 - grid.k1, t_fft, "", warn))
     ks = np.arange(grid.k1, grid.k2)
-    t_direct = med(lambda: payoff_forward_si_ein(model.forward, model.forward,
-                                                 grid.m, ks, grid.a))
+    t_direct = _median_seconds(lambda: payoff_forward_si_ein(
+        model.forward, model.forward, grid.m, ks, grid.a), reps)
     rows.append(("payoff", "si_ein_per_k", grid.k2 - grid.k1, t_direct, "", warn))
 
     djob = DensityJob(model, grid.m, grid.J, grid.k1, grid.k2)
-    t_trap = med(lambda: density_trapezoidal_fft(djob))
+    t_trap = _median_seconds(lambda: density_trapezoidal_fft(djob), reps)
     rows.append(("density", "trapezoidal_fft", grid.k2 - grid.k1, t_trap,
                  1 << (grid.J - 1), warn))
     fil_evals = []
-    t_fil = med(lambda: fil_evals.append(
-        density_filon(model, grid.m, grid.k1, grid.k2, tol=1e-8)[1]))
+    t_fil = _median_seconds(lambda: fil_evals.append(density_filon(
+        model, grid.m, grid.k1, grid.k2, tol=FILON_TOL)[1]), reps)
     rows.append(("density", "filon", grid.k2 - grid.k1, t_fil, fil_evals[-1], warn))
 
     ctx = PricingContext(model, grid, "trapezoidal")
-    t_price = med(lambda: ctx.price_put(model.forward, "em_fft"))
+    t_price = _median_seconds(lambda: ctx.price_put(model.forward, "em_fft"), reps)
     rows.append(("pricing_warm_density", "em_fft", grid.k2 - grid.k1, t_price, "", warn))
     _emit(rows, ("task", "variant", "k_count", "median_seconds", "cf_evals",
                  "warning"), set(), args)

@@ -24,6 +24,10 @@ import numpy as np
 from .models import ModelSpec, char_fn
 from .transform import inverse_dft
 
+# Elements per block of a batched (k or strike) x (panels or nodes)
+# temporary: keeps each near 1 MB, whatever the grid.
+_BLOCK_ELEMENTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class CoefficientArray:
@@ -43,9 +47,6 @@ class CoefficientArray:
     @property
     def k2(self) -> int:
         return self.k1 + len(self.values)
-
-    def k_values(self) -> np.ndarray:
-        return np.arange(self.k1, self.k2)
 
     def at(self, k: int) -> float:
         if not self.k1 <= k < self.k2:
@@ -131,11 +132,12 @@ def density_trapezoidal_fft(job: DensityJob) -> CoefficientArray:
     return _density_fft(job, 0)
 
 
-def density_vieta_direct(model: ModelSpec, m: int, k: int, J: int) -> float:
-    """Single c_{m,k} through the explicit Vieta cosine sum.
+def density_vieta_direct(model: ModelSpec, m: int, k, J: int):
+    """c_{m,k} through the explicit Vieta cosine sum.
 
-    O(2^{J-1}) cf evaluations; the equivalence oracle for
-    density_midpoint_fft (the two are the same sum in exact arithmetic).
+    One cf call on the 2^{J-1} nodes serves every k; ``k`` may be an integer
+    (float out) or an integer array (ndarray out).  The equivalence oracle
+    for density_midpoint_fft (the two are the same sum in exact arithmetic).
     """
     if m < 1 or J < 1:
         raise ValueError("need m >= 1 and J >= 1")
@@ -143,9 +145,14 @@ def density_vieta_direct(model: ModelSpec, m: int, k: int, J: int) -> float:
     j = np.arange(1, n + 1)
     u = (2.0**m) * np.pi * (2 * j - 1) / (1 << J)
     psi = char_fn(model, u)
-    angles = np.pi * k * (2 * j - 1) / (1 << J)
-    terms = (psi * np.exp(-1j * angles)).real
-    return float(2.0 ** (m / 2.0) / n * np.sum(terms))
+    ks = np.asarray(k)
+    out = np.empty(ks.size)
+    step = max(1, _BLOCK_ELEMENTS // n)
+    for lo in range(0, ks.size, step):
+        angles = np.pi * ks.reshape(-1, 1)[lo:lo + step] * (2 * j - 1) / (1 << J)
+        out[lo:lo + step] = np.sum((psi * np.exp(-1j * angles)).real, axis=1)
+    out *= 2.0 ** (m / 2.0) / n
+    return float(out[0]) if ks.ndim == 0 else out.reshape(ks.shape)
 
 
 # cubic interpolation on s in [0, 1] through nodes 0, 1/3, 2/3, 1
@@ -196,6 +203,11 @@ def density_filon(model: ModelSpec, m: int, k1: int, k2: int, tol: float,
     budget; that criterion bounds the Filon error uniformly in k (worst
     frequency included) and keeps the node set independent of the k range.
 
+    Panels are refined a level at a time.  The halves of a panel reuse its
+    cubic nodes at 0, h/3, 2h/3 and h, so a level makes one cf call on the
+    new nodes h/6, h/2 and 5h/6 of its open panels (4 + 3R points for R
+    split tests), and its accepted halves share one table of moments.
+
     Returns (CoefficientArray, cf_eval_count).
     """
     if not tol > 0:
@@ -205,61 +217,53 @@ def density_filon(model: ModelSpec, m: int, k1: int, k2: int, tol: float,
     if not k1 < k2:
         raise ValueError("need k1 < k2")
 
-    evals = [0]
-
-    def g(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        evals[0] += ts.size
-        return _fhat(model, 2.0 ** (m + 1) * np.pi * ts)
-
-    panels = []          # (t0, h, cubic coefficients)
+    scale = 2.0 ** (m + 1) * np.pi
+    omega = 2.0 * np.pi * np.arange(k1, k2, dtype=float)
+    integral = np.zeros(omega.size, dtype=complex)
     tol_integral = 0.5 * tol   # budget for the t-integral itself
-    leftovers = []       # unsatisfied estimates at depth cap
-
-    def refine(t0, h, vals, depth):
-        c = _VAND_INV @ vals
-        tl = t0 + (h / 2.0) * _NODES
-        tr = t0 + h / 2.0 + (h / 2.0) * _NODES
-        vl = np.array([vals[0], g(tl[1])[0], g(tl[2])[0], g(tl[3])[0]])
-        vr = np.array([vl[3], g(tr[1])[0], g(tr[2])[0], vals[3]])
-        cl = _VAND_INV @ vl
-        cr = _VAND_INV @ vr
-        half = len(_PROBE) // 2
-        child = np.concatenate([
-            _poly_eval(cl, _PROBE[: half + 1] * 2.0),
-            _poly_eval(cr, (_PROBE[half + 1:] - 0.5) * 2.0),
-        ])
-        est = float(np.trapezoid(np.abs(_poly_eval(c, _PROBE) - child),
-                                 dx=1.0 / (len(_PROBE) - 1))) * h
-        if est <= tol_integral * (h / 0.5) or depth >= max_depth:
-            if est > tol_integral * (h / 0.5):
-                leftovers.append(est)
-            panels.append((t0, h / 2.0, cl))
-            panels.append((t0 + h / 2.0, h / 2.0, cr))
-        else:
-            refine(t0, h / 2.0, vl, depth + 1)
-            refine(t0 + h / 2.0, h / 2.0, vr, depth + 1)
-
-    first = np.concatenate([g(0.5 * _NODES[:3]), g(0.5 * _NODES[3])])
-    refine(0.0, 0.5, first, 0)
-
-    ks = np.arange(k1, k2)
-    omega = 2.0 * np.pi * ks.astype(float)
-    integral = np.zeros(len(ks), dtype=complex)
-    for t0, h, c in panels:
-        mom = _moments(omega * h)
-        contrib = h * np.exp(1j * omega * t0) * (
-            c[0] * mom[0] + c[1] * mom[1] + c[2] * mom[2] + c[3] * mom[3])
-        integral += contrib
+    leftover = 0.0             # unsatisfied estimates at the depth cap
+    # the open panels [t0, t0 + h] of a level, with fhat at t0 + h _NODES
+    h, t0, vals = 0.5, np.zeros(1), _fhat(model, scale * 0.5 * _NODES)[None, :]
+    n_evals, depth = 4, 0
+    while t0.size:
+        hh, tr = 0.5 * h, t0 + 0.5 * h
+        new = _fhat(model, scale * np.stack(
+            [t0 + hh * _NODES[1], tr, tr + hh * _NODES[2]], 1))
+        n_evals += new.size
+        left = np.stack([vals[:, 0], new[:, 0], vals[:, 1], new[:, 1]], 1)
+        right = np.stack([new[:, 1], vals[:, 2], new[:, 2], vals[:, 3]], 1)
+        # cubics as (4, panels): the parent against its halves on the probes
+        c, cl, cr = (_VAND_INV @ v.T for v in (vals, left, right))
+        child = np.concatenate([_poly_eval(cl[..., None], 2.0 * _PROBE[:5]),
+                                _poly_eval(cr[..., None], 2.0 * _PROBE[5:] - 1.0)], 1)
+        est = np.trapezoid(np.abs(_poly_eval(c[..., None], _PROBE) - child),
+                           dx=1.0 / (len(_PROBE) - 1), axis=1) * h
+        split = est > tol_integral * (h / 0.5)
+        if depth >= max_depth:   # the cap accepts the halves as they stand
+            leftover += float(np.sum(est[split]))
+            split[:] = False
+        if not split.all():
+            # the accepted halves all have width hh: one moment table
+            ts = np.concatenate([t0[~split], tr[~split]])
+            cs = np.concatenate([cl[:, ~split], cr[:, ~split]], 1)
+            mom = _moments(omega * hh)
+            step = max(1, _BLOCK_ELEMENTS // ts.size)
+            for lo in range(0, omega.size, step):
+                rows, mb = slice(lo, lo + step), mom[:, lo:lo + step, None]
+                poly = cs[0] * mb[0] + cs[1] * mb[1] + cs[2] * mb[2] + cs[3] * mb[3]
+                integral[rows] += hh * np.sum(np.exp(1j * omega[rows, None] * ts) * poly, 1)
+        t0 = np.concatenate([t0[split], tr[split]])
+        vals = np.concatenate([left[split], right[split]])
+        h, depth = hh, depth + 1
     coeffs = CoefficientArray(k1, 2.0 ** (m / 2.0 + 1.0) * integral.real)
 
-    if leftovers:
-        achieved = 2.0 * (tol_integral + float(np.sum(leftovers)))
+    if leftover:
+        achieved = 2.0 * (tol_integral + leftover)
         raise FilonConvergenceError(
             f"Filon subdivision hit depth {max_depth} before reaching tol={tol} "
             f"(achieved ~{achieved:.3e})", best=coeffs,
-            achieved_tol=achieved, cf_evals=evals[0])
-    return coeffs, evals[0]
+            achieved_tol=achieved, cf_evals=n_evals)
+    return coeffs, n_evals
 
 
 def density_mass(coeffs: CoefficientArray, m: int) -> float:

@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import factorial
 
 # Convention: the Heston fourth cumulant is approximated by zero (its closed
 # form is unwieldy and the truncation rule only needs a rough guess; the
@@ -133,7 +134,8 @@ def cumulants(model: ModelSpec) -> Cumulants:
     """Cumulants c1, c2, c4 of y = ln(S_T/F).
 
     Lognormal: exact (c1 = -sigma^2 T/2, c2 = sigma^2 T, c4 = 0).
-    Heston: closed-form c1 and c2; c4 is approximated by 0 (convention
+    Heston: closed-form c1 and c2, by their series in kappa for
+    kappa T < 5e-4 (kappa = 0 included); c4 is approximated by 0 (convention
     ``HESTON_C4_CONVENTION``), adequate for seeding truncation guesses.
     """
     T = model.maturity
@@ -143,6 +145,16 @@ def cumulants(model: ModelSpec) -> Cumulants:
         return Cumulants(c1=-0.5 * var, c2=var, c4=0.0)
 
     k, th, s, r, v0 = dyn.kappa, dyn.theta, dyn.sigma, dyn.rho, dyn.v0
+    x, y = k * T, s * T
+    if x < 5e-4:
+        # the closed forms below cancel as x -> 0 (c2 divides by 8 k^3):
+        # their series in x instead, whose terms past x^5 are below rounding
+        n = np.arange(6.0)
+        a = y * y * ((2 ** (n + 2) - n - 3) * v0 - (2 ** (n + 1) - n - 2) * th)
+        b = 2 * (n + 3) * (r * y * (n * th - (n + 1) * v0) + (n + 2) * (v0 - th * (n > 0)))
+        c1 = -th * T / 2.0 + (th - v0) * T / 2.0 * np.sum((-x) ** n / factorial(n + 1))
+        c2 = T * np.sum((-x) ** n * (a + b) / (2.0 * factorial(n + 3)))
+        return Cumulants(c1=float(c1), c2=float(c2), c4=0.0)
     ekt = np.exp(-k * T)
     c1 = -th * T / 2.0 + (th - v0) * (1.0 - ekt) / (2.0 * k)
     e1 = np.exp(k * T)

@@ -10,8 +10,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .density import (CoefficientArray, DensityJob, density_filon,
-                      density_mass, density_midpoint_fft,
+from .density import (_BLOCK_ELEMENTS, CoefficientArray, DensityJob,
+                      density_filon, density_mass, density_midpoint_fft,
                       density_trapezoidal_fft)
 from .models import Cumulants, ModelSpec, char_fn, cumulants
 from .payoff import (_forward_a_terms, _trig_moments_arrays, em_correction_D,
@@ -20,10 +20,8 @@ from .transform import inverse_dft
 
 DENSITY_STRATEGIES = ("midpoint", "trapezoidal", "filon")
 PAYOFF_STRATEGIES = ("classic", "forward", "em_fft")
-
-# Strikes x payoff nodes per block of batched em_fft pricing: keeps each
-# (strikes, N) temporary near 0.5 MB, whatever the grid.
-_BLOCK_ELEMENTS = 1 << 16
+# Default tolerance of the Filon density route
+FILON_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -60,12 +58,6 @@ class PricingResult:
     payoff_strategy: str
     cf_evals: int
     elapsed: float
-    reference_price: float | None = None
-    abs_error: float | None = None
-
-    def with_reference(self, reference: float) -> "PricingResult":
-        return replace(self, reference_price=reference,
-                       abs_error=self.price - reference)
 
 
 class GridSelectionError(RuntimeError):
@@ -115,14 +107,12 @@ def select_k_range(coeffs: CoefficientArray, m: int, mass_tol: float) -> tuple[i
 
 
 def _compute_density(model: ModelSpec, grid: WaveletGrid, strategy: str,
-                     filon_tol: float = 1e-8):
+                     filon_tol: float):
     """Returns (CoefficientArray, cf_evals)."""
-    if strategy == "midpoint":
+    if strategy in ("midpoint", "trapezoidal"):
+        rule = density_midpoint_fft if strategy == "midpoint" else density_trapezoidal_fft
         job = DensityJob(model, grid.m, grid.J, grid.k1, grid.k2)
-        return density_midpoint_fft(job), 1 << (grid.J - 1)
-    if strategy == "trapezoidal":
-        job = DensityJob(model, grid.m, grid.J, grid.k1, grid.k2)
-        return density_trapezoidal_fft(job), 1 << (grid.J - 1)
+        return rule(job), 1 << (grid.J - 1)
     if strategy == "filon":
         return density_filon(model, grid.m, grid.k1, grid.k2, filon_tol)
     raise ValueError(f"unknown density strategy '{strategy}' "
@@ -149,7 +139,7 @@ class PricingContext:
     """
 
     def __init__(self, model: ModelSpec, grid: WaveletGrid,
-                 density_strategy: str = "trapezoidal", filon_tol: float = 1e-8):
+                 density_strategy: str = "trapezoidal", filon_tol: float = FILON_TOL):
         self.model = model
         self.grid = grid
         self.density_strategy = density_strategy

@@ -12,6 +12,10 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.stats import norm
 
+from swiftpricer.density import (_NODES, _PROBE, _VAND_INV, CoefficientArray,
+                                 FilonConvergenceError, _fhat, _moments,
+                                 _poly_eval)
+
 
 def naive_inverse_dft(x):
     x = np.asarray(x, dtype=complex)
@@ -168,6 +172,63 @@ def quad_reference_put(model, K, char_fn, tol=1e-10):
         for lo, hi in zip(edges[:-1], edges[1:]):
             total += quad(integrand, lo, hi, limit=400, epsabs=1e-15, epsrel=1e-13)[0]
     return float(B * (K - np.sqrt(F * K) / np.pi * total))
+
+
+def recursive_filon(model, m, k1, k2, tol, max_depth=40):
+    """Filon density coefficients by depth-first recursive panel refinement:
+    five one-node cf calls per split test and one moment table per panel.
+    The panel set, estimate and budget of ``density_filon``, visited one
+    panel at a time.  Returns (CoefficientArray, cf_eval_count)."""
+    evals = [0]
+
+    def g(ts):
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        evals[0] += ts.size
+        return _fhat(model, 2.0 ** (m + 1) * np.pi * ts)
+
+    panels = []
+    tol_integral = 0.5 * tol
+    leftovers = []
+
+    def refine(t0, h, vals, depth):
+        c = _VAND_INV @ vals
+        tl = t0 + (h / 2.0) * _NODES
+        tr = t0 + h / 2.0 + (h / 2.0) * _NODES
+        vl = np.array([vals[0], g(tl[1])[0], g(tl[2])[0], g(tl[3])[0]])
+        vr = np.array([vl[3], g(tr[1])[0], g(tr[2])[0], vals[3]])
+        cl = _VAND_INV @ vl
+        cr = _VAND_INV @ vr
+        half = len(_PROBE) // 2
+        child = np.concatenate([
+            _poly_eval(cl, _PROBE[: half + 1] * 2.0),
+            _poly_eval(cr, (_PROBE[half + 1:] - 0.5) * 2.0),
+        ])
+        est = float(np.trapezoid(np.abs(_poly_eval(c, _PROBE) - child),
+                                 dx=1.0 / (len(_PROBE) - 1))) * h
+        if est <= tol_integral * (h / 0.5) or depth >= max_depth:
+            if est > tol_integral * (h / 0.5):
+                leftovers.append(est)
+            panels.append((t0, h / 2.0, cl))
+            panels.append((t0 + h / 2.0, h / 2.0, cr))
+        else:
+            refine(t0, h / 2.0, vl, depth + 1)
+            refine(t0 + h / 2.0, h / 2.0, vr, depth + 1)
+
+    first = np.concatenate([g(0.5 * _NODES[:3]), g(0.5 * _NODES[3])])
+    refine(0.0, 0.5, first, 0)
+
+    omega = 2.0 * np.pi * np.arange(k1, k2)
+    integral = np.zeros(omega.size, dtype=complex)
+    for t0, h, c in panels:
+        mom = _moments(omega * h)
+        integral += h * np.exp(1j * omega * t0) * (
+            c[0] * mom[0] + c[1] * mom[1] + c[2] * mom[2] + c[3] * mom[3])
+    coeffs = CoefficientArray(k1, 2.0 ** (m / 2.0 + 1.0) * integral.real)
+    if leftovers:
+        achieved = 2.0 * (tol_integral + float(np.sum(leftovers)))
+        raise FilonConvergenceError("depth cap", best=coeffs,
+                                    achieved_tol=achieved, cf_evals=evals[0])
+    return coeffs, evals[0]
 
 
 def black76_put(F, K, T, vol, B=1.0):

@@ -72,6 +72,22 @@ class TestPrice:
         ref = reference_put(model, 900000.0)
         assert abs(doc["price"] - ref) <= 1e-6 * max(1.0, ref)
 
+    def test_heston_kappa_zero_matches_reference(self, capsys, tmp_path):
+        path = tmp_path / "kappa0.json"
+        path.write_text(json.dumps({
+            "forward": 100.0, "maturity": 1.0, "discount": 1.0,
+            "heston": {"v0": 0.04, "kappa": 0.0, "theta": 0.04,
+                       "sigma": 0.5, "rho": -0.7}}))
+        strikes = [90.0, 100.0, 110.0]
+        argv = ["price", "--model", str(path)]
+        for K in strikes:
+            argv += ["--strike", repr(K)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        prices = [d["price"] for d in json.loads(out)]
+        refs = reference_put(model_from_json(str(path)), strikes)
+        assert np.abs(np.array(prices) - refs).max() <= 1e-10 * 100.0
+
     def test_em_fft_strike_vector_matches_api(self, capsys, heston_short_file):
         strikes = [0.9, 1.0, 1.07]
         argv = ["price", "--model", heston_short_file, "--payoff", "em-fft"]

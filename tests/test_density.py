@@ -5,11 +5,25 @@ import pytest
 
 from conftest import HESTON_HEAVY, HESTON_SHORT, LOGNORMAL_02, POINT_MASS
 from oracles import (lognormal_density, quad_density_parseval,
-                     quad_density_projection)
+                     quad_density_projection, recursive_filon)
+import swiftpricer.density as density_mod
 from swiftpricer import (CoefficientArray, DensityJob, FilonConvergenceError,
                          char_fn, density_filon, density_mass,
                          density_midpoint_fft, density_trapezoidal_fft,
                          density_vieta_direct)
+
+
+def record_cf_calls(monkeypatch):
+    """Route density's char_fn through a recorder; returns the list of the
+    point counts of its calls."""
+    sizes = []
+
+    def recording(model, u):
+        sizes.append(np.size(u))
+        return char_fn(model, u)
+
+    monkeypatch.setattr(density_mod, "char_fn", recording)
+    return sizes
 
 
 class TestJobValidation:
@@ -94,6 +108,16 @@ class TestVietaDirect:
         with pytest.raises(ValueError):
             density_vieta_direct(lognormal, 0, 0, 5)
 
+    @pytest.mark.parametrize("model", [LOGNORMAL_02, HESTON_SHORT, HESTON_HEAVY])
+    def test_array_equals_scalar_calls(self, model, monkeypatch):
+        calls = record_cf_calls(monkeypatch)
+        ks = np.arange(-128, 128)
+        col = density_vieta_direct(model, 6, ks, 8)
+        assert len(calls) == 1  # one cf call serves the whole column
+        assert isinstance(density_vieta_direct(model, 6, 3, 8), float)
+        assert np.array_equal(col, [density_vieta_direct(model, 6, int(k), 8)
+                                    for k in ks])
+
 
 class TestTrapezoidal:
     def test_point_mass_truncated_constant(self, point_mass):
@@ -174,6 +198,48 @@ class TestFilon:
     def test_rejects_bad_tol(self, lognormal):
         with pytest.raises(ValueError):
             density_filon(lognormal, 5, -8, 8, tol=0.0)
+
+    @pytest.mark.parametrize("model", [LOGNORMAL_02, HESTON_SHORT, HESTON_HEAVY])
+    @pytest.mark.parametrize("m,k1,k2", [(6, -128, 128), (8, -512, 512)])
+    def test_matches_recursive_oracle(self, model, m, k1, k2):
+        c, n = density_filon(model, m, k1, k2, tol=1e-8)
+        c_ref, n_ref = recursive_filon(model, m, k1, k2, tol=1e-8)
+        # the same panel set: 3 new nodes per split test instead of 5
+        assert n - 4 == 3 * (n_ref - 4) // 5 and (n_ref - 4) % 5 == 0
+        scale = np.abs(c_ref.values).max()
+        assert np.abs(c.values - c_ref.values).max() <= 1e-14 * scale
+
+    def test_depth_cap_matches_recursive_oracle(self, heston_heavy):
+        errs = []
+        for fn in (density_filon, recursive_filon):
+            with pytest.raises(FilonConvergenceError) as exc_info:
+                fn(heston_heavy, 8, -16, 16, tol=1e-12, max_depth=2)
+            errs.append(exc_info.value)
+        new, ref = errs
+        assert new.achieved_tol == pytest.approx(ref.achieved_tol, rel=1e-14)
+        scale = np.abs(ref.best.values).max()
+        assert np.abs(new.best.values - ref.best.values).max() <= 1e-14 * scale
+        assert new.cf_evals - 4 == 3 * (ref.cf_evals - 4) // 5
+
+    @pytest.mark.parametrize("model", [HESTON_SHORT, HESTON_HEAVY])
+    def test_one_cf_call_per_level(self, model, monkeypatch):
+        # deepest level of the oracle's recursion: the smallest depth cap
+        # that does not raise
+        deepest = 0
+        while True:
+            try:
+                recursive_filon(model, 6, -4, 4, tol=1e-8, max_depth=deepest)
+                break
+            except FilonConvergenceError:
+                deepest += 1
+        sizes = record_cf_calls(monkeypatch)
+        _, n = density_filon(model, 6, -4, 4, tol=1e-8)
+        assert len(sizes) == 1 + (deepest + 1)  # the first nodes, then one per level
+        assert sizes[:2] == [4, 3] and sum(sizes) == n
+        sizes.clear()
+        with pytest.raises(FilonConvergenceError):
+            density_filon(model, 6, -4, 4, tol=1e-8, max_depth=deepest - 1)
+        assert len(sizes) == 1 + deepest
 
 
 class TestDensityMass:

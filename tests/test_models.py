@@ -1,6 +1,7 @@
 """Tests for characteristic functions, cumulants, and model ingestion."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,6 +114,34 @@ class TestCumulants:
         assert c.c1 == pytest.approx(-0.1 * (2.0 / 365.0) / 2.0, rel=1e-12)
         fd1, fd2, _ = fd_cumulants(HESTON_SHORT, char_fn)
         assert c.c2 == pytest.approx(fd2, rel=1e-6)
+
+    @pytest.mark.parametrize("base", [HESTON_SHORT, HESTON_HEAVY])
+    @pytest.mark.parametrize("kappa", [0.0, 1e-12, 1e-7, 1e-5])
+    def test_small_kappa_against_finite_differences(self, base, kappa):
+        model = replace(base, dynamics=replace(base.dynamics, kappa=kappa))
+        c = cumulants(model)
+        fd1, fd2, _ = fd_cumulants(model, char_fn)
+        assert c.c1 == pytest.approx(fd1, rel=1e-6, abs=1e-10)
+        assert c.c2 == pytest.approx(fd2, rel=1e-6)
+
+    def test_kappa_zero_limits(self):
+        dyn = HestonParams(v0=0.04, kappa=0.0, theta=0.09, sigma=0.5, rho=-0.7)
+        T = 2.0
+        c = cumulants(ModelSpec(1.0, T, 1.0, dyn))
+        assert c.c1 == pytest.approx(-0.04 * T / 2.0, rel=1e-15)
+        y = 0.5 * T
+        assert c.c2 == pytest.approx(0.04 * T * (1 + 0.7 * y / 2 + y * y / 12),
+                                     rel=1e-15)
+
+    @pytest.mark.parametrize("base", [HESTON_SHORT, HESTON_HEAVY])
+    def test_continuous_at_series_switch(self, base):
+        # kappa T = 5e-4 switches from the series to the closed form, whose
+        # cancellation error there is ~1e-7 relative on these dynamics
+        T = base.maturity
+        below, at = (cumulants(replace(base, dynamics=replace(
+            base.dynamics, kappa=x / T))) for x in (5e-4 * (1 - 1e-12), 5e-4))
+        assert below.c1 == pytest.approx(at.c1, rel=1e-12)
+        assert below.c2 == pytest.approx(at.c2, rel=1e-6)
 
 
 class TestModelIngestion:

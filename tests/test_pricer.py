@@ -135,11 +135,6 @@ class TestPricePut:
         with pytest.raises(ValueError):
             PricingContext(lognormal, grid).price_put(100.0, payoff_strategy="cosine")
 
-    def test_result_reference_helper(self, lognormal):
-        grid = WaveletGrid(m=5, k1=-64, k2=64, J=11, N=128, a=-2.0, b=2.0)
-        res = PricingContext(lognormal, grid).price_put(100.0).with_reference(BLACK_ATM)
-        assert res.abs_error == res.price - BLACK_ATM
-
 
 class TestForwardRoute:
     def test_a_end_terms_computed_once(self, heston_short, monkeypatch):
