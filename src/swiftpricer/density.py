@@ -27,6 +27,10 @@ from .transform import inverse_dft
 # Elements per block of a batched (k or strike) x (panels or nodes)
 # temporary: keeps each near 1 MB, whatever the grid.
 _BLOCK_ELEMENTS = 1 << 16
+# Open panels a Filon level may hold.  At tol = 1e-15 they peak near 3300
+# on the reference models; below rounding (tol ~ 1e-16) the split test
+# never passes and they would double every level until memory runs out.
+_MAX_OPEN_PANELS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -80,7 +84,8 @@ class DensityJob:
 
 
 class FilonConvergenceError(RuntimeError):
-    """Raised when panel subdivision hits its depth cap before the target.
+    """Raised when panel subdivision hits its depth or open-panel cap
+    before the target.
 
     Carries the best available coefficients and the achieved tolerance.
     """
@@ -97,29 +102,49 @@ def _fhat(model: ModelSpec, x):
     return char_fn(model, -np.asarray(x, dtype=float))
 
 
-def _density_fft(job: DensityJob, offset: int) -> CoefficientArray:
+def _nodes(m: int, J: int, q) -> np.ndarray:
+    """The cf nodes 2^m pi q/2^J of the FFT rules (q = 2j + offset)."""
+    return (2.0**m) * np.pi * q / (1 << J)
+
+
+def _coefficients(k1: int, values: np.ndarray) -> CoefficientArray:
+    """A loader's coefficients.  A NaN or inf here comes from the cf, so it
+    is a numerical failure (FloatingPointError), not bad input."""
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError(
+            "density coefficients are not finite: the characteristic "
+            "function returned NaN or inf on the quadrature nodes")
+    return CoefficientArray(k1, values)
+
+
+def _density_fft(job: DensityJob, offset: int, fhat=None) -> CoefficientArray:
     """c_{m,k} from one inverse DFT of size n = 2^J over the nodes
     t_j = (2j + offset)/(2n), j < 2^{J-1}: offset 1 is the midpoint rule,
     offset 0 the trapezoidal rule (half weight on the first node).
 
     Loading: f_j = fhat(2^m pi (2j+offset)/n) e^{2 pi i k1 j/n}, zero beyond
     j = 2^{J-1}; the midpoint recovery applies the half-step phase
-    e^{i pi k/n} elementwise.
+    e^{i pi k/n} elementwise.  ``fhat`` holds the f_j's cf values when the
+    caller has them already; it is not modified.
     """
     n = 1 << job.J
     nh = n >> 1
     j = np.arange(nh)
-    fh = _fhat(job.model, (2.0**job.m) * np.pi * (2 * j + offset) / n)
-    if offset == 0:
-        fh[0] *= 0.5
+    if fhat is None:
+        fhat = _fhat(job.model, _nodes(job.m, job.J, 2 * j + offset))
+    elif np.shape(fhat) != (nh,):
+        raise ValueError(f"fhat must hold the 2^(J-1) = {nh} node values, "
+                         f"got shape {np.shape(fhat)}")
     buf = np.zeros(n, dtype=complex)
     # e^{2 pi i k1 j/n} with the angle reduced exactly in integers, so a
     # wide grid's phase carries no large-argument rounding
-    buf[:nh] = fh * np.exp(2j * np.pi * ((job.k1 * j) % n) / n)
+    buf[:nh] = fhat * np.exp(2j * np.pi * ((job.k1 * j) % n) / n)
+    if offset == 0:
+        buf[0] *= 0.5
     g = inverse_dft(buf)[: job.k2 - job.k1]
     if offset:
         g = np.exp(1j * np.pi * np.arange(job.k1, job.k2) / n) * g
-    return CoefficientArray(job.k1, 2.0 ** (job.m / 2.0) / nh * g.real)
+    return _coefficients(job.k1, 2.0 ** (job.m / 2.0) / nh * g.real)
 
 
 def density_midpoint_fft(job: DensityJob) -> CoefficientArray:
@@ -127,9 +152,30 @@ def density_midpoint_fft(job: DensityJob) -> CoefficientArray:
     return _density_fft(job, 1)
 
 
-def density_trapezoidal_fft(job: DensityJob) -> CoefficientArray:
-    """c_{m,k} by the trapezoidal rule, one inverse DFT of size 2^J."""
-    return _density_fft(job, 0)
+def density_trapezoidal_fft(job: DensityJob, fhat=None) -> CoefficientArray:
+    """c_{m,k} by the trapezoidal rule, one inverse DFT of size 2^J.
+
+    ``fhat``, if given, is fhat on the rule's nodes 2^m pi j/2^{J-1},
+    j < 2^{J-1} (``_trapezoidal_fhat``), and is used instead of a cf call.
+    """
+    return _density_fft(job, 0, fhat)
+
+
+def _trapezoidal_fhat(job: DensityJob, coarse=None) -> np.ndarray:
+    """fhat on the trapezoidal nodes of ``job``, 2^m pi j/2^{J-1}.
+
+    The nodes are nested: those of level J-1 are the even nodes of level J,
+    bit for bit, since the levels differ only by powers of two.  Given
+    ``coarse``, fhat on the level J-1 nodes (same model and m), the cf is
+    evaluated on the 2^{J-2} odd nodes only.
+    """
+    nh = 1 << (job.J - 1)
+    if coarse is None:
+        return _fhat(job.model, _nodes(job.m, job.J, 2 * np.arange(nh)))
+    fhat = np.empty(nh, dtype=complex)
+    fhat[0::2] = coarse
+    fhat[1::2] = _fhat(job.model, _nodes(job.m, job.J, 2 * np.arange(1, nh, 2)))
+    return fhat
 
 
 def density_vieta_direct(model: ModelSpec, m: int, k, J: int):
@@ -208,6 +254,11 @@ def density_filon(model: ModelSpec, m: int, k1: int, k2: int, tol: float,
     new nodes h/6, h/2 and 5h/6 of its open panels (4 + 3R points for R
     split tests), and its accepted halves share one table of moments.
 
+    Refinement stops at ``max_depth`` levels, or where a level would hold
+    more than ``_MAX_OPEN_PANELS`` open panels (a tol below rounding).
+    Either cap accepts the open panels as they stand and raises
+    ``FilonConvergenceError`` with the coefficients so obtained.
+
     Returns (CoefficientArray, cf_eval_count).
     """
     if not tol > 0:
@@ -239,7 +290,10 @@ def density_filon(model: ModelSpec, m: int, k1: int, k2: int, tol: float,
         est = np.trapezoid(np.abs(_poly_eval(c[..., None], _PROBE) - child),
                            dx=1.0 / (len(_PROBE) - 1), axis=1) * h
         split = est > tol_integral * (h / 0.5)
-        if depth >= max_depth:   # the cap accepts the halves as they stand
+        if depth >= max_depth or 2 * np.count_nonzero(split) > _MAX_OPEN_PANELS:
+            # a cap accepts the halves as they stand
+            cap = (f"depth {max_depth}" if depth >= max_depth
+                   else f"{_MAX_OPEN_PANELS} open panels")
             leftover += float(np.sum(est[split]))
             split[:] = False
         if not split.all():
@@ -255,12 +309,12 @@ def density_filon(model: ModelSpec, m: int, k1: int, k2: int, tol: float,
         t0 = np.concatenate([t0[split], tr[split]])
         vals = np.concatenate([left[split], right[split]])
         h, depth = hh, depth + 1
-    coeffs = CoefficientArray(k1, 2.0 ** (m / 2.0 + 1.0) * integral.real)
+    coeffs = _coefficients(k1, 2.0 ** (m / 2.0 + 1.0) * integral.real)
 
     if leftover:
         achieved = 2.0 * (tol_integral + leftover)
         raise FilonConvergenceError(
-            f"Filon subdivision hit depth {max_depth} before reaching tol={tol} "
+            f"Filon subdivision hit its cap of {cap} before reaching tol={tol} "
             f"(achieved ~{achieved:.3e})", best=coeffs,
             achieved_tol=achieved, cf_evals=n_evals)
     return coeffs, n_evals

@@ -16,7 +16,6 @@ from scipy.special import factorial
 # Convention: the Heston fourth cumulant is approximated by zero (its closed
 # form is unwieldy and the truncation rule only needs a rough guess; the
 # printed reference interval in the experiments is reproduced with c4 = 0).
-HESTON_C4_CONVENTION = "zero"
 
 
 @dataclass(frozen=True)
@@ -135,8 +134,9 @@ def cumulants(model: ModelSpec) -> Cumulants:
 
     Lognormal: exact (c1 = -sigma^2 T/2, c2 = sigma^2 T, c4 = 0).
     Heston: closed-form c1 and c2, by their series in kappa for
-    kappa T < 5e-4 (kappa = 0 included); c4 is approximated by 0 (convention
-    ``HESTON_C4_CONVENTION``), adequate for seeding truncation guesses.
+    kappa T < 5e-4 (kappa = 0 included); c4 is approximated by 0 (the
+    convention noted at the top of this module), adequate for seeding
+    truncation guesses.
     """
     T = model.maturity
     dyn = model.dynamics

@@ -5,14 +5,14 @@ grid, and provide the independent reference pricer used for error columns.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .density import (_BLOCK_ELEMENTS, CoefficientArray, DensityJob,
-                      density_filon, density_mass, density_midpoint_fft,
-                      density_trapezoidal_fft)
+                      _trapezoidal_fhat, density_filon, density_mass,
+                      density_midpoint_fft, density_trapezoidal_fft)
 from .models import Cumulants, ModelSpec, char_fn, cumulants
 from .payoff import (_forward_a_terms, _trig_moments_arrays, em_correction_D,
                      payoff_classic_si_ein, payoff_forward_si_ein)
@@ -36,6 +36,12 @@ class WaveletGrid:
     a: float
     b: float
     L: float | None = None
+    # The last wide job of the auto_grid search that chose this grid, with
+    # its coefficients, for PricingContext to slice instead of redoing the
+    # FFT.  Only auto_grid sets it; it is not compared, not shown and not
+    # carried over by ``replace``.
+    _search: tuple[DensityJob, CoefficientArray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1:
@@ -74,15 +80,20 @@ def truncation_interval(cum: Cumulants, L: float) -> tuple[float, float]:
 
 def select_scale(model: ModelSpec, tol: float, m_min: int = 1, m_max: int = 12) -> int:
     """Smallest m with |psi(2^m pi)| <= tol: the cf is then negligible
-    beyond the scale's bandwidth and is never evaluated past 2^m pi."""
+    beyond the scale's bandwidth and is never evaluated past 2^m pi.  One
+    cf call covers every candidate scale."""
     if m_min < 1:
         raise ValueError("m_min must be >= 1")
-    for m in range(m_min, m_max + 1):
-        if abs(char_fn(model, 2.0**m * np.pi)) <= tol:
-            return m
+    if m_max < m_min:
+        raise ValueError(f"need m_min <= m_max, got [{m_min}, {m_max}]")
+    ms = np.arange(m_min, m_max + 1)
+    psi = np.abs(char_fn(model, 2.0**ms * np.pi))
+    hit = np.flatnonzero(psi <= tol)
+    if hit.size:
+        return int(ms[hit[0]])
     raise GridSelectionError(
         f"no scale in [{m_min}, {m_max}] reaches |psi(2^m pi)| <= {tol} "
-        f"(|psi(2^{m_max} pi)| = {abs(char_fn(model, 2.0**m_max * np.pi)):.3e})")
+        f"(|psi(2^{m_max} pi)| = {psi[-1]:.3e})")
 
 
 def select_k_range(coeffs: CoefficientArray, m: int, mass_tol: float) -> tuple[int, int]:
@@ -106,13 +117,35 @@ def select_k_range(coeffs: CoefficientArray, m: int, mass_tol: float) -> tuple[i
         p += 1
 
 
+def _search_slice(model: ModelSpec, grid: WaveletGrid) -> CoefficientArray | None:
+    """The trapezoidal coefficients of ``grid`` cut from the auto_grid search
+    that chose it, or None when that search does not fit.
+
+    With the search's model, m and J, and [k1, k2) inside its window, the
+    slice holds the same trapezoidal sums on the same nodes as a new FFT:
+    equal to rounding, and bit for bit when the window is the search's.
+    """
+    if grid._search is None:
+        return None
+    job, coeffs = grid._search
+    if (job.model != model or (job.m, job.J) != (grid.m, grid.J)
+            or not job.k1 <= grid.k1 < grid.k2 <= job.k2):
+        return None
+    return CoefficientArray(grid.k1, coeffs.values[grid.k1 - job.k1:grid.k2 - job.k1])
+
+
 def _compute_density(model: ModelSpec, grid: WaveletGrid, strategy: str,
                      filon_tol: float):
-    """Returns (CoefficientArray, cf_evals)."""
+    """Returns (CoefficientArray, cf_evals); cf_evals counts the nodes
+    behind the coefficients, also when they come from the grid search."""
     if strategy in ("midpoint", "trapezoidal"):
+        n_cf = 1 << (grid.J - 1)
+        if strategy == "trapezoidal":
+            coeffs = _search_slice(model, grid)
+            if coeffs is not None:
+                return coeffs, n_cf
         rule = density_midpoint_fft if strategy == "midpoint" else density_trapezoidal_fft
-        job = DensityJob(model, grid.m, grid.J, grid.k1, grid.k2)
-        return rule(job), 1 << (grid.J - 1)
+        return rule(DensityJob(model, grid.m, grid.J, grid.k1, grid.k2)), n_cf
     if strategy == "filon":
         return density_filon(model, grid.m, grid.k1, grid.k2, filon_tol)
     raise ValueError(f"unknown density strategy '{strategy}' "
@@ -270,16 +303,24 @@ def auto_grid(model: ModelSpec, L: float = 10.0, scale_tol: float = 1e-8,
     """Grid selection: scale from the cf decay, a seed interval from the
     cumulants, and the k-range from the density-mass doubling search (the
     candidate window itself doubles until the mass target is reachable,
-    which matters for heavy-tailed models whose cumulant guess is short)."""
+    which matters for heavy-tailed models whose cumulant guess is short).
+
+    Each doubling of the window adds one trapezoidal level J, whose even
+    nodes are the previous level's: only its odd nodes need the cf.  The
+    grid carries the last wide coefficients, which a trapezoidal
+    ``PricingContext`` on it slices instead of redoing the FFT."""
     if m is None:
         m = select_scale(model, scale_tol)
     a, b = truncation_interval(cumulants(model), L)
     k_half = 1 << int(np.ceil(np.log2(max(8.0, 2.0**m * max(-a, b)))))
+    fhat = None
     while True:
         J = int(np.ceil(np.log2(2 * k_half))) + 1
         wide = DensityJob(model, m, J, -k_half, k_half)
+        fhat = _trapezoidal_fhat(wide, fhat)
+        coeffs = density_trapezoidal_fft(wide, fhat)
         try:
-            k1, k2 = select_k_range(density_trapezoidal_fft(wide), m, mass_tol)
+            k1, k2 = select_k_range(coeffs, m, mass_tol)
             break
         except GridSelectionError:
             k_half *= 2
@@ -288,7 +329,9 @@ def auto_grid(model: ModelSpec, L: float = 10.0, scale_tol: float = 1e-8,
     a = min(a, k1 / 2.0**m)
     b = max(b, k2 / 2.0**m)
     n_pay = 1 << int(np.ceil(np.log2(max(k2 - k1, 32))))
-    return WaveletGrid(m=m, k1=k1, k2=k2, J=J, N=n_pay, a=a, b=b, L=L)
+    grid = WaveletGrid(m=m, k1=k1, k2=k2, J=J, N=n_pay, a=a, b=b, L=L)
+    object.__setattr__(grid, "_search", (wide, coeffs))
+    return grid
 
 
 class ReferenceError(RuntimeError):

@@ -9,6 +9,7 @@ import pytest
 from oracles import black76_put
 from swiftpricer import PricingContext, auto_grid, model_from_json, reference_put
 import swiftpricer.cli as cli_mod
+import swiftpricer.density as density_mod
 from swiftpricer.cli import build_parser, cmd_error_sweep, main
 
 TABLE1_EXPECTED = {
@@ -142,6 +143,21 @@ class TestPrice:
         code, _, err = run_cli(capsys, "price", "--model", str(frozen))
         assert code == 2
         assert "numerical" in err.lower()
+
+    @pytest.mark.parametrize("grid_args", [[], ["--m", "4", "--J", "8"]])
+    @pytest.mark.parametrize("density", ["trapezoidal", "midpoint", "filon"])
+    def test_non_finite_density_exit_code(self, capsys, monkeypatch, lognormal_file,
+                                          density, grid_args):
+        # a NaN from the cf fails auto_grid's search, or with a given grid
+        # the density loader itself: a numerical failure either way
+        real = density_mod.char_fn
+        monkeypatch.setattr(density_mod, "char_fn", lambda model, u: np.where(
+            np.abs(u) > 3.0, np.nan, real(model, u)))
+        code, out, err = run_cli(capsys, "price", "--model", lognormal_file,
+                                 "--density", density, "--strike", "100", *grid_args)
+        assert code == 2
+        assert out == ""
+        assert "not finite" in err
 
 
 class TestPriceTable:

@@ -162,6 +162,39 @@ class TestTrapezoidal:
         assert np.abs(got - full.values).max() <= 1e-12 * 2 ** (m / 2)
 
 
+class TestNestedNodes:
+    @pytest.mark.parametrize("model", [LOGNORMAL_02, HESTON_SHORT, HESTON_HEAVY])
+    def test_refined_levels_equal_direct_evaluation(self, model):
+        # the even nodes of level J are level J-1's: refining from the
+        # coarsest level gives the direct node values bit for bit
+        fhat = None
+        for J in range(5, 11):
+            job = DensityJob(model, 6, J, -(1 << (J - 2)), 1 << (J - 2))
+            fhat = density_mod._trapezoidal_fhat(job, fhat)
+            assert np.array_equal(fhat, density_mod._trapezoidal_fhat(job))
+
+    def test_odd_nodes_only(self, heston_short, monkeypatch):
+        coarse = density_mod._trapezoidal_fhat(DensityJob(heston_short, 6, 7, -32, 32))
+        sizes = record_cf_calls(monkeypatch)
+        density_mod._trapezoidal_fhat(DensityJob(heston_short, 6, 8, -64, 64), coarse)
+        assert sizes == [64]
+
+    def test_given_values_replace_the_cf_call(self, heston_heavy, monkeypatch):
+        job = DensityJob(heston_heavy, 8, 12, -2048, 2048)
+        fhat = density_mod._trapezoidal_fhat(job)
+        kept = fhat.copy()
+        sizes = record_cf_calls(monkeypatch)
+        got = density_trapezoidal_fft(job, fhat)
+        assert sizes == []
+        assert np.array_equal(fhat, kept)  # the half weight is not applied in place
+        assert np.array_equal(got.values, density_trapezoidal_fft(job).values)
+
+    def test_wrong_node_count_rejected(self, lognormal):
+        job = DensityJob(lognormal, 4, 8, -16, 16)
+        with pytest.raises(ValueError, match="fhat"):
+            density_trapezoidal_fft(job, np.ones(64, dtype=complex))
+
+
 class TestFilon:
     def test_point_mass_exact(self, point_mass):
         for m in (2, 4, 7):
@@ -198,6 +231,17 @@ class TestFilon:
     def test_rejects_bad_tol(self, lognormal):
         with pytest.raises(ValueError):
             density_filon(lognormal, 5, -8, 8, tol=0.0)
+
+    def test_tol_below_rounding_raises_promptly(self, heston_heavy):
+        # the split test never passes below rounding: without the cap on
+        # open panels they doubled every level until memory ran out
+        with pytest.raises(FilonConvergenceError, match="open panels") as exc_info:
+            density_filon(heston_heavy, 8, -16, 16, tol=1e-17)
+        err = exc_info.value
+        assert err.cf_evals <= 4 + 6 * density_mod._MAX_OPEN_PANELS
+        assert err.achieved_tol > 1e-17
+        c, _ = density_filon(heston_heavy, 8, -16, 16, tol=1e-12)
+        assert np.abs(err.best.values - c.values).max() <= 1e-11
 
     @pytest.mark.parametrize("model", [LOGNORMAL_02, HESTON_SHORT, HESTON_HEAVY])
     @pytest.mark.parametrize("m,k1,k2", [(6, -128, 128), (8, -512, 512)])
@@ -251,3 +295,28 @@ class TestDensityMass:
     def test_mass_near_one_on_resolved_grids(self, model, m, J, kh):
         c = density_trapezoidal_fft(DensityJob(model, m, J, -kh, kh))
         assert density_mass(c, m) == pytest.approx(1.0, abs=1e-4)
+
+
+def holed_cf(monkeypatch, lo, hi):
+    """Make density's char_fn return NaN for lo < |u| < hi."""
+    def holed(model, u):
+        return np.where((np.abs(u) > lo) & (np.abs(u) < hi), np.nan, char_fn(model, u))
+    monkeypatch.setattr(density_mod, "char_fn", holed)
+
+
+class TestNonFiniteDensity:
+    def test_fft_rules_raise_numerical_failure(self, lognormal, monkeypatch):
+        holed_cf(monkeypatch, 3.0, 4.0)
+        job = DensityJob(lognormal, 4, 8, -16, 16)
+        for rule in (density_midpoint_fft, density_trapezoidal_fft):
+            with pytest.raises(FloatingPointError, match="not finite"):
+                rule(job)
+
+    def test_filon_raises_numerical_failure(self, lognormal, monkeypatch):
+        holed_cf(monkeypatch, 3.0, 4.0)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            density_filon(lognormal, 4, -16, 16, tol=1e-8)
+
+    def test_caller_array_keeps_value_error(self):
+        with pytest.raises(ValueError, match="finite"):
+            CoefficientArray(0, np.array([1.0, np.nan]))

@@ -1,13 +1,15 @@
 """Tests for grid selection, pricing assembly, and the reference pricer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from conftest import HESTON_HEAVY, HESTON_SHORT, LOGNORMAL_02
 from oracles import black76_call, black76_put, quad_reference_put
-from swiftpricer import (Cumulants, DensityJob, GridSelectionError, ModelSpec,
-                         LognormalParams, PayoffJob, PricingContext, ReferenceError,
+from swiftpricer import (Cumulants, DensityJob, GridSelectionError, HestonParams,
+                         ModelSpec, LognormalParams, PayoffJob, PricingContext, ReferenceError,
                          WaveletGrid, auto_grid, char_fn, cumulants,
                          density_trapezoidal_fft, payoff_fft_euler_maclaurin,
                          payoff_forward_si_ein, reference_call, reference_put,
@@ -18,6 +20,32 @@ import swiftpricer.pricer as pricer_mod
 from swiftpricer.pricer import PAYOFF_STRATEGIES
 
 BLACK_ATM = 7.965567455405804  # Black-76 put, F=K=100, T=1, vol=0.2
+
+
+def fresh_draw(rng):
+    """A seeded model as the benchmark's ``fresh`` workload draws them."""
+    if rng.random() < 0.75:
+        dyn = HestonParams(v0=rng.uniform(0.01, 0.1), kappa=rng.uniform(0.1, 2.0),
+                           theta=rng.uniform(0.01, 0.1), sigma=rng.uniform(0.2, 1.5),
+                           rho=rng.uniform(-0.9, 0.5))
+        return ModelSpec(float(np.exp(rng.uniform(0.0, np.log(1e6)))),
+                         rng.uniform(2.0 / 365.0, 1.0), 1.0, dyn)
+    return ModelSpec(100.0, rng.uniform(0.05, 2.0), rng.uniform(0.9, 1.0),
+                     LognormalParams(rng.uniform(0.05, 0.8)))
+
+
+def record_cf_points(monkeypatch):
+    """Route density's and pricer's char_fn through one recorder; returns
+    the list of the point counts of their calls."""
+    sizes = []
+
+    def recording(model, u):
+        sizes.append(np.size(u))
+        return char_fn(model, u)
+
+    monkeypatch.setattr(density_mod, "char_fn", recording)
+    monkeypatch.setattr(pricer_mod, "char_fn", recording)
+    return sizes
 
 
 def short_grid(J=5, m=6, kh=16):
@@ -63,6 +91,36 @@ class TestSelectScale:
         frozen = ModelSpec(1.0, 1e-8, 1.0, LognormalParams(vol=1e-6))
         with pytest.raises(GridSelectionError):
             select_scale(frozen, 1e-8, m_max=10)
+
+    def test_unreachable_message(self):
+        frozen = ModelSpec(1.0, 1e-8, 1.0, LognormalParams(vol=1e-6))
+        last = abs(char_fn(frozen, 2.0**10 * np.pi))
+        with pytest.raises(GridSelectionError) as exc_info:
+            select_scale(frozen, 1e-8, m_max=10)
+        assert str(exc_info.value) == (
+            f"no scale in [1, 10] reaches |psi(2^m pi)| <= 1e-08 "
+            f"(|psi(2^10 pi)| = {last:.3e})")
+
+    def test_empty_scale_range_rejected(self):
+        with pytest.raises(ValueError, match="m_max"):
+            select_scale(LOGNORMAL_02, 1e-8, m_min=5, m_max=4)
+
+    def test_one_cf_call(self, monkeypatch):
+        sizes = record_cf_points(monkeypatch)
+        select_scale(HESTON_HEAVY, 1e-8)
+        assert sizes == [12]
+
+    def test_same_scale_as_one_call_per_scale(self):
+        def per_scale(model, tol):
+            for m in range(1, 13):
+                if abs(char_fn(model, 2.0**m * np.pi)) <= tol:
+                    return m
+        rng = np.random.default_rng(20261018)
+        models = [LOGNORMAL_02, HESTON_SHORT, HESTON_HEAVY]
+        models += [fresh_draw(rng) for _ in range(300)]
+        for model in models:
+            for tol in (1e-8, 1e-12):
+                assert select_scale(model, tol) == per_scale(model, tol), model
 
 
 class TestSelectKRange:
@@ -433,3 +491,95 @@ class TestAutoGrid:
             WaveletGrid(m=4, k1=-8, k2=128, J=5, N=32, a=-1.0, b=1.0)
         with pytest.raises(ValueError):
             WaveletGrid(m=4, k1=-8, k2=8, J=5, N=48, a=-1.0, b=1.0)
+
+
+REFERENCE_MODELS = [LOGNORMAL_02, HESTON_SHORT, HESTON_HEAVY]
+
+
+class TestGridHandover:
+    """auto_grid's search coefficients serve the trapezoidal context."""
+
+    @pytest.mark.parametrize("model", REFERENCE_MODELS)
+    def test_search_coefficients_equal_standalone_job(self, model):
+        grid = auto_grid(model)
+        job, coeffs = grid._search
+        assert (job.model, job.m, job.J) == (model, grid.m, grid.J)
+        assert job.k1 <= grid.k1 < grid.k2 <= job.k2
+        alone = density_trapezoidal_fft(DensityJob(model, grid.m, grid.J, job.k1, job.k2))
+        assert coeffs.k1 == alone.k1
+        assert np.array_equal(coeffs.values, alone.values)
+
+    def test_cf_points_nested_and_handed_over(self, heston_heavy, monkeypatch):
+        sizes = record_cf_points(monkeypatch)
+        grid = auto_grid(heston_heavy, mass_tol=1e-8)
+        # select_scale's one call, then the job loop over J = 13..16: all
+        # 4096 nodes of J = 13, then the odd nodes of each finer level
+        assert sizes == [12, 4096, 4096, 8192, 16384] and grid.J == 16
+        assert sum(sizes[1:]) == 32768  # 61440 with every node of every level
+        sizes.clear()
+        ctx = PricingContext(heston_heavy, grid)
+        assert sizes == []
+        assert ctx.cf_evals == 1 << (grid.J - 1)
+
+    @pytest.mark.parametrize("model", REFERENCE_MODELS)
+    def test_prices_match_recomputed_density(self, model):
+        grid = auto_grid(model)
+        handed = PricingContext(model, grid)
+        fresh = PricingContext(model, replace(grid))  # replace drops the search
+        assert fresh.coeffs is not handed.coeffs
+        rng = np.random.default_rng(606)
+        c = cumulants(model)
+        strikes = model.forward * np.exp(c.c1 + rng.uniform(-3.0, 3.0, 200) * np.sqrt(c.c2))
+        got, want = handed.price_puts(strikes), fresh.price_puts(strikes)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(strikes, model.forward))
+        if (grid.k1, grid.k2) == (grid._search[0].k1, grid._search[0].k2):
+            assert np.array_equal(got, want)  # the search's own window
+
+    def test_guards_recompute(self, lognormal, monkeypatch):
+        grid = auto_grid(lognormal)
+        job, _ = grid._search
+
+        def carrying(g):
+            object.__setattr__(g, "_search", grid._search)
+            return g
+
+        other = ModelSpec(100.0, 1.0, 1.0, LognormalParams(vol=0.25))
+        cases = [
+            (other, grid, "trapezoidal"),
+            (lognormal, carrying(replace(grid, J=grid.J + 1)), "trapezoidal"),
+            (lognormal, carrying(replace(grid, m=grid.m + 1)), "trapezoidal"),
+            (lognormal, carrying(replace(grid, k1=job.k1 - 1)), "trapezoidal"),
+            (lognormal, carrying(replace(grid, k2=job.k2 + 1)), "trapezoidal"),
+            (lognormal, grid, "midpoint"),
+            (lognormal, grid, "filon"),
+            (lognormal, WaveletGrid(grid.m, grid.k1, grid.k2, grid.J, grid.N,
+                                    grid.a, grid.b, grid.L), "trapezoidal"),
+            (lognormal, replace(grid, J=grid.J), "trapezoidal"),
+        ]
+        sizes = record_cf_points(monkeypatch)
+        for model, g, strategy in cases:
+            sizes.clear()
+            ctx = PricingContext(model, g, strategy)
+            assert sizes, (model, g, strategy)
+            if strategy == "trapezoidal":
+                alone = density_trapezoidal_fft(DensityJob(model, g.m, g.J, g.k1, g.k2))
+                assert np.array_equal(ctx.coeffs.values, alone.values)
+
+    def test_carried_search_is_invisible(self, lognormal):
+        grid = auto_grid(lognormal)
+        plain = WaveletGrid(grid.m, grid.k1, grid.k2, grid.J, grid.N, grid.a, grid.b, grid.L)
+        assert plain._search is None and grid._search is not None
+        assert grid == plain and hash(grid) == hash(plain)
+        assert repr(grid) == repr(plain) and "_search" not in repr(grid)
+        with pytest.raises(TypeError):
+            WaveletGrid(grid.m, grid.k1, grid.k2, grid.J, grid.N, grid.a, grid.b,
+                        grid.L, _search=grid._search)
+
+    def test_non_finite_cf_is_a_numerical_failure(self, lognormal, monkeypatch):
+        real = density_mod.char_fn
+        monkeypatch.setattr(density_mod, "char_fn",
+                            lambda model, u: np.where(np.abs(u) > 3.0, np.nan, real(model, u)))
+        with pytest.raises(FloatingPointError):
+            auto_grid(lognormal)
+        with pytest.raises(FloatingPointError):
+            PricingContext(lognormal, short_grid())
