@@ -22,8 +22,7 @@ from .payoff import (PayoffJob, payoff_classic_si_ein, payoff_classic_simpson,
                      payoff_classic_vieta, payoff_fft_euler_maclaurin,
                      payoff_forward_si_ein)
 from .pricer import (FILON_TOL, GridSelectionError, PricingContext,
-                     ReferenceError, WaveletGrid, _check_strikes, auto_grid,
-                     reference_put, truncation_interval)
+                     ReferenceError, grid_for, reference_put, truncation_interval)
 
 # The two Heston experiment configurations used by the built-in tables.
 # The quoted-price tables pair the short-maturity dynamics with F = 1 and
@@ -32,13 +31,13 @@ from .pricer import (FILON_TOL, GridSelectionError, PricingContext,
 EXPERIMENT_SHORT = dict(
     model=ModelSpec(1.0, 2.0 / 365.0, 1.0,
                     HestonParams(v0=0.1, kappa=1.0, theta=0.1, sigma=1.0, rho=-0.9)),
-    m=6, J=5, k1=-16, k2=16,
+    m=6, J=5,
     strikes=((1.0064, "call"), (1.064, "call")),
 )
 EXPERIMENT_HEAVY = dict(
     model=ModelSpec(1e6, 1.0, 1.0,
                     HestonParams(v0=0.0225, kappa=0.1, theta=0.01, sigma=2.0, rho=0.5)),
-    m=8, J=12, k1=-2048, k2=2048,
+    m=8, J=12,
     strikes=((250000.0, "put"), (4000000.0, "call")),
 )
 
@@ -75,31 +74,6 @@ def _emit(rows, header, err_cols, args):
     _write(text, args)
 
 
-def _grid_for(model: ModelSpec, args) -> WaveletGrid:
-    """Grid from CLI overrides, auto-selected where absent."""
-    if args.m is not None and args.J is not None:
-        m, J = args.m, args.J
-        if args.L is not None:
-            a, b = truncation_interval(cumulants(model), args.L)
-            k1 = int(np.floor(2.0**m * a))
-            k2 = int(np.ceil(2.0**m * b)) + 1
-        else:
-            k1, k2 = -(1 << (J - 1)), 1 << (J - 1)
-            a, b = k1 / 2.0**m, k2 / 2.0**m
-        n = args.N if args.N is not None else max(32, k2 - k1)
-        if n & (n - 1):
-            n = 1 << int(np.ceil(np.log2(n)))
-        return WaveletGrid(m=m, k1=k1, k2=k2, J=J, N=n,
-                           a=min(a, k1 / 2.0**m), b=max(b, k2 / 2.0**m),
-                           L=args.L)
-    grid = auto_grid(model, L=args.L if args.L is not None else 10.0,
-                     mass_tol=args.mass_tol, m=args.m)
-    if args.N is not None:
-        grid = WaveletGrid(m=grid.m, k1=grid.k1, k2=grid.k2, J=grid.J,
-                           N=args.N, a=grid.a, b=grid.b, L=grid.L)
-    return grid
-
-
 def cmd_table1(args) -> int:
     rows = [
         ("Vieta J=5", payoff_classic_vieta(1.0, 6, -1, -1.0, 5)),
@@ -114,9 +88,11 @@ def cmd_table1(args) -> int:
 
 def cmd_price(args) -> int:
     model = model_from_json(args.model)
-    grid = _grid_for(model, args)
-    ctx = PricingContext(model, grid, args.density)
     strikes = args.strike or [model.forward]
+    # the classic payoff's window moves with the strike: cover each one
+    grid = grid_for(model, args.m, args.J, args.N, args.L, args.mass_tol,
+                    strikes if args.payoff == "classic" else None)
+    ctx = PricingContext(model, grid, args.density)
     if args.payoff == "em_fft":
         # one batched call; each strike reports its share of the elapsed time
         t0 = time.perf_counter()
@@ -148,9 +124,7 @@ def cmd_price_table(args) -> int:
     rows = []
     for name, exp in (("short", EXPERIMENT_SHORT), ("heavy", EXPERIMENT_HEAVY)):
         model = exp["model"]
-        grid = WaveletGrid(m=exp["m"], k1=exp["k1"], k2=exp["k2"], J=exp["J"],
-                           N=max(32, exp["k2"] - exp["k1"]),
-                           a=exp["k1"] / 2.0**exp["m"], b=exp["k2"] / 2.0**exp["m"])
+        grid = grid_for(model, exp["m"], exp["J"])
         refs = reference_put(model, [K for K, _ in exp["strikes"]]).tolist()
         for strategy in ("midpoint", "trapezoidal"):
             ctx = PricingContext(model, grid, strategy)
@@ -168,7 +142,7 @@ def cmd_price_table(args) -> int:
 
 def cmd_density_table(args) -> int:
     model = model_from_json(args.model)
-    grid = _grid_for(model, args)
+    grid = grid_for(model, args.m, args.J, args.N, args.L, args.mass_tol)
     job = DensityJob(model, grid.m, grid.J, grid.k1, grid.k2)
     mid = density_midpoint_fft(job)
     trap = density_trapezoidal_fft(job)
@@ -192,14 +166,14 @@ def _median_seconds(fn, reps: int) -> float:
 
 def cmd_init_table(args) -> int:
     model = model_from_json(args.model)
-    grid = _grid_for(model, args)
+    grid = grid_for(model, args.m, args.J, args.N, args.L, args.mass_tol)
     reps = max(1, args.reps)
     job = DensityJob(model, grid.m, grid.J, grid.k1, grid.k2)
     t_trap = _median_seconds(lambda: density_trapezoidal_fft(job), reps)
     evals = []
     t_fil = _median_seconds(lambda: evals.append(density_filon(
         model, grid.m, grid.k1, grid.k2, tol=FILON_TOL)[1]), reps)
-    rows = [("trapezoidal_fft", 1 << (grid.J - 1), t_trap * 1e6),
+    rows = [("trapezoidal_fft", 2 ** (grid.J - 1), t_trap * 1e6),
             ("filon", evals[-1], t_fil * 1e6)]
     _emit(rows, ("method", "cf_evals", "median_microseconds"), set(), args)
     return 0
@@ -215,19 +189,10 @@ def cmd_error_sweep(args) -> int:
     else:
         strikes = list(
             model.forward * np.linspace(np.exp(0.25 * a), np.exp(b) * (1 - 1e-9), 40))
-    checked = _check_strikes(strikes)
-    # a zero strike prices 0 on every route and needs no coefficients
-    z = np.log(checked[checked > 0] / model.forward)
-    z_max, z_min = np.max(z, initial=b), np.min(z, initial=0.0)
-    # density range wide enough for the strike-shifted classic windows
-    k1 = int(np.floor(2.0**m * (a + z_min))) - 1
-    k2 = int(np.ceil(2.0**m * (b + max(z_max, 0.0)))) + 2
-    J = args.J if args.J is not None else max(10, int(np.ceil(np.log2(k2 - k1))) + 2)
-    n_pay = 1 << int(np.ceil(np.log2(max(32, k2 - k1))))
-    grid = WaveletGrid(m=m, k1=k1, k2=k2, J=J, N=n_pay, a=a, b=b, L=L)
+    grid = grid_for(model, m, args.J, args.N, L, args.mass_tol, strikes)
     ctx = PricingContext(model, grid, args.density)
     rows = []
-    for K, ref in zip(strikes, reference_put(model, checked).tolist()):
+    for K, ref in zip(strikes, reference_put(model, strikes).tolist()):
         flag = "beyond_truncation" if K > 0 and np.log(K / model.forward) > b else ""
         fwd = ctx.price_put(K, "forward").price
         try:
@@ -244,7 +209,7 @@ def cmd_error_sweep(args) -> int:
 
 def cmd_bench(args) -> int:
     model = model_from_json(args.model)
-    grid = _grid_for(model, args)
+    grid = grid_for(model, args.m, args.J, args.N, args.L, args.mass_tol)
     reps = max(1, args.reps)
     warn = "single-sample" if reps == 1 else ""
     rows = []
@@ -262,7 +227,7 @@ def cmd_bench(args) -> int:
     djob = DensityJob(model, grid.m, grid.J, grid.k1, grid.k2)
     t_trap = _median_seconds(lambda: density_trapezoidal_fft(djob), reps)
     rows.append(("density", "trapezoidal_fft", grid.k2 - grid.k1, t_trap,
-                 1 << (grid.J - 1), warn))
+                 2 ** (grid.J - 1), warn))
     fil_evals = []
     t_fil = _median_seconds(lambda: fil_evals.append(density_filon(
         model, grid.m, grid.k1, grid.k2, tol=FILON_TOL)[1]), reps)

@@ -38,8 +38,8 @@ class WaveletGrid:
     L: float | None = None
     # The last wide job of the auto_grid search that chose this grid, with
     # its coefficients, for PricingContext to slice instead of redoing the
-    # FFT.  Only auto_grid sets it; it is not compared, not shown and not
-    # carried over by ``replace``.
+    # FFT.  Only ``_grid`` sets it, for auto_grid and grid_for; it is not
+    # compared, not shown and not carried over by ``replace``.
     _search: tuple[DensityJob, CoefficientArray] | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -326,12 +326,65 @@ def auto_grid(model: ModelSpec, L: float = 10.0, scale_tol: float = 1e-8,
             k_half *= 2
             if k_half > max_k_half:
                 raise
-    a = min(a, k1 / 2.0**m)
-    b = max(b, k2 / 2.0**m)
-    n_pay = 1 << int(np.ceil(np.log2(max(k2 - k1, 32))))
-    grid = WaveletGrid(m=m, k1=k1, k2=k2, J=J, N=n_pay, a=a, b=b, L=L)
-    object.__setattr__(grid, "_search", (wide, coeffs))
+    return _grid(m, k1, k2, J, min(a, k1 / 2.0**m), max(b, k2 / 2.0**m), L,
+                 search=(wide, coeffs))
+
+
+def _grid(m, k1, k2, J, a, b, L, N=None, search=None) -> WaveletGrid:
+    """The package's one WaveletGrid build.  The payoff FFT size is ``N``,
+    or the coefficient count (at least 32), rounded up to a power of two."""
+    n = max(32, k2 - k1) if N is None else N
+    grid = WaveletGrid(m=m, k1=k1, k2=k2, J=J, N=1 << (n - 1).bit_length(),
+                       a=a, b=b, L=L)
+    object.__setattr__(grid, "_search", search)
     return grid
+
+
+def grid_for(model: ModelSpec, m: int | None = None, J: int | None = None,
+             N: int | None = None, L: float | None = None, mass_tol: float = 1e-8,
+             strikes=None) -> WaveletGrid:
+    """The command line's grid: the options given, the rest chosen.
+
+    * ``m`` and ``J``, no ``strikes``: k in [-2^(J-1), 2^(J-1)), or the
+      cumulant window of ``L`` at scale m; [a, b] = [k1, k2) / 2^m.
+    * else, no ``strikes``: ``auto_grid(model, L or 10, mass_tol, m=m)``;
+      a new ``N`` keeps its carried search.
+    * ``strikes``: [a, b] is the cumulant window of ``L or 10`` when ``m``
+      is given, else the auto grid's; k covers the classic window
+      [2^m(a+z), 2^m(b+z)] of each strike and of z = b, one index to spare
+      each side; J defaults to max(10, log2(k2 - k1) + 2).
+
+    ``N`` rounds up to a power of two.  A ``J`` that would be ignored, and
+    an ``m``, ``J`` or ``N`` below 1, raise ``ValueError``."""
+    for name, value in (("m", m), ("J", J), ("N", N)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if J is not None and m is None and strikes is None:
+        raise ValueError(f"J = {J} needs m: an auto-selected grid chooses its own J")
+    if strikes is None and m is not None and J is not None:
+        if L is None:
+            k1, k2 = -(1 << (J - 1)), 1 << (J - 1)
+        else:
+            a, b = truncation_interval(cumulants(model), L)
+            k1, k2 = int(np.floor(2.0**m * a)), int(np.ceil(2.0**m * b)) + 1
+        return _grid(m, k1, k2, J, k1 / 2.0**m, k2 / 2.0**m, L, N)
+    if m is None or strikes is None:
+        auto = auto_grid(model, 10.0 if L is None else L, mass_tol=mass_tol, m=m)
+        if strikes is None:
+            return _grid(auto.m, auto.k1, auto.k2, auto.J, auto.a, auto.b, auto.L,
+                         N, auto._search)
+        m, a, b, L = auto.m, auto.a, auto.b, auto.L
+    else:
+        L = 10.0 if L is None else L
+        a, b = truncation_interval(cumulants(model), L)
+    K = _check_strikes(strikes)
+    # a zero strike prices 0 on every route and needs no coefficients
+    z = np.log(K[K > 0] / model.forward)
+    z_max, z_min = np.max(z, initial=b), np.min(z, initial=0.0)
+    k1 = int(np.floor(2.0**m * (a + z_min))) - 1
+    k2 = int(np.ceil(2.0**m * (b + max(z_max, 0.0)))) + 2
+    J = J if J is not None else max(10, (k2 - k1 - 1).bit_length() + 2)
+    return _grid(m, k1, k2, J, a, b, L, N)
 
 
 class ReferenceError(RuntimeError):

@@ -2,11 +2,14 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from swiftpricer import HestonParams, LognormalParams, ModelSpec
+from swiftpricer import HestonParams, LognormalParams, ModelSpec, char_fn
+import swiftpricer.density as density_mod
+import swiftpricer.pricer as pricer_mod
 
 # Short-maturity set: 2-day options on a unit forward (strong skew).
 HESTON_SHORT = ModelSpec(
@@ -77,3 +80,17 @@ def heston_short_file(tmp_path):
                    "sigma": 1.0, "rho": -0.9},
     }))
     return str(path)
+
+
+def record_cf_points(monkeypatch):
+    """Route density's and pricer's char_fn through one recorder; returns
+    the list of the point counts of their calls."""
+    sizes = []
+
+    def recording(model, u):
+        sizes.append(np.size(u))
+        return char_fn(model, u)
+
+    monkeypatch.setattr(density_mod, "char_fn", recording)
+    monkeypatch.setattr(pricer_mod, "char_fn", recording)
+    return sizes

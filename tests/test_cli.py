@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from conftest import record_cf_points
 from oracles import black76_put
-from swiftpricer import PricingContext, auto_grid, model_from_json, reference_put
+from swiftpricer import (PricingContext, WaveletGrid, auto_grid, model_from_json,
+                         reference_put)
 import swiftpricer.cli as cli_mod
 import swiftpricer.density as density_mod
 from swiftpricer.cli import build_parser, cmd_error_sweep, main
@@ -25,6 +27,22 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def strike_args(*strikes):
+    return [arg for K in strikes for arg in ("--strike", repr(K))]
+
+
+def record_grids(monkeypatch):
+    """The grid of every PricingContext the CLI builds, in order."""
+    grids = []
+
+    def recording(model, grid, *rest):
+        grids.append(grid)
+        return PricingContext(model, grid, *rest)
+
+    monkeypatch.setattr(cli_mod, "PricingContext", recording)
+    return grids
 
 
 class TestTable1:
@@ -104,6 +122,41 @@ class TestPrice:
         assert {d["payoff_strategy"] for d in docs} == {"em_fft"}
         assert len({d["elapsed_seconds"] for d in docs}) == 1
 
+    def test_N_keeps_the_carried_search(self, capsys, monkeypatch, heston_heavy_file):
+        argv = ["price", "--model", heston_heavy_file, "--payoff", "em-fft",
+                *strike_args(8e5, 1e6, 1.25e6)]
+        sizes = record_cf_points(monkeypatch)
+        runs = []
+        for extra in ([], ["--N", "65536"]):
+            sizes.clear()
+            code, out, err = run_cli(capsys, *argv, *extra)
+            assert code == 0, err
+            # select_scale, then auto_grid's search; the context slices it
+            assert sizes == [12, 4096, 4096, 8192, 16384]
+            runs.append(json.loads(out))
+        assert [d["grid"]["N"] for d in runs[1]] == [65536] * 3
+        for plain, wide in zip(*runs):
+            assert abs(wide["price"] - plain["price"]) <= 1e-14 * max(plain["strike"], 1e6)
+
+    @pytest.mark.parametrize("model_file", ["lognormal_file", "heston_short_file",
+                                            "heston_heavy_file"])
+    def test_classic_payoff_covers_its_strikes(self, capsys, request, model_file):
+        path = request.getfixturevalue(model_file)
+        model = model_from_json(path)
+        F = model.forward
+        strikes = [0.8 * F, F, 1.25 * F]
+        prices = {}
+        for payoff in ("classic", "forward"):
+            code, out, err = run_cli(capsys, "price", "--model", path,
+                                     "--payoff", payoff, *strike_args(*strikes))
+            assert code == 0, err
+            prices[payoff] = np.array([d["price"] for d in json.loads(out)])
+        # at z = 0 the strike-centered and forward-centered forms coincide
+        assert abs(prices["classic"][1] - prices["forward"][1]) <= 1e-12 * F
+        if model_file == "lognormal_file":
+            ref = reference_put(model, strikes)
+            assert np.all(np.abs(prices["classic"] - ref) <= 1e-12 * np.maximum(strikes, F))
+
     @pytest.mark.parametrize("payoff", ["em-fft", "forward", "classic"])
     @pytest.mark.parametrize("strike", ["nan", "inf", "-1"])
     def test_bad_strike_exit_code(self, capsys, lognormal_file, payoff, strike):
@@ -160,6 +213,36 @@ class TestPrice:
         assert "not finite" in err
 
 
+class TestGridOptions:
+    """The grid options of every command go through pricer.grid_for."""
+
+    @pytest.mark.parametrize("command, extra, expect", [
+        ("price", ["--J", "20"], "J"),
+        ("price", ["--N", "0"], "N"),
+        ("price", ["--N", "-5"], "N"),
+        ("price", ["--m", "6", "--J", "0"], "J"),
+        ("price", ["--m", "0"], "m"),
+        ("error-sweep", ["--J", "0"], "J"),
+        ("density-table", ["--m", "6", "--J", "8", "--N", "0"], "N"),
+        # an N that is not a power of two rounds up on every grid
+        ("price", ["--N", "100"], 128),
+        ("price", ["--m", "6", "--J", "8", "--N", "100"], 128),
+        # J without m is used where the strikes set the k-range
+        ("price", ["--payoff", "classic", "--J", "12"], 128),
+        ("error-sweep", ["--J", "12", "--strike", "100"], None),
+    ])
+    def test_refused_or_rounded(self, capsys, lognormal_file, command, extra, expect):
+        code, out, err = run_cli(capsys, command, "--model", lognormal_file, *extra)
+        if isinstance(expect, str):
+            assert code == 1
+            assert out == ""
+            assert err.startswith(f"error: {expect} ")
+        else:
+            assert code == 0, err
+            if expect is not None:
+                assert json.loads(out)["grid"]["N"] == expect
+
+
 class TestPriceTable:
     def test_rows_and_errors(self, capsys):
         code, out, _ = run_cli(capsys, "price-table")
@@ -179,6 +262,20 @@ class TestPriceTable:
             p, e = by_key[key]
             assert abs(e) < 0.05 * max(1.0, p)
 
+
+    def test_paper_grids(self, capsys, monkeypatch):
+        grids = record_grids(monkeypatch)
+        code, _, _ = run_cli(capsys, "price-table")
+        assert code == 0
+        assert grids == 2 * [WaveletGrid(6, -16, 16, 5, 32, -0.25, 0.25)] + 2 * [
+            WaveletGrid(8, -2048, 2048, 12, 4096, -8.0, 8.0)]
+
+    def test_classic_payoff_refused(self, capsys):
+        # the fixed J = 5 grid cannot hold the strike-shifted window
+        code, out, err = run_cli(capsys, "price-table", "--payoff", "classic")
+        assert code == 1
+        assert out == ""
+        assert "not covered" in err
 
     def test_one_reference_call_per_experiment(self, capsys, monkeypatch):
         calls = []
@@ -260,6 +357,18 @@ class TestErrorSweep:
         want = np.array([reference_put(model, K) for K in strikes])
         scale = np.maximum(strikes, model.forward)
         assert np.max(np.abs(got - want) / scale) <= 1e-13
+
+    @pytest.mark.parametrize("model_file, pinned", [
+        ("lognormal_file", (8, -776, 1221, 13, 2048)),
+        ("heston_short_file", (8, -92, 146, 10, 256)),
+        ("heston_heavy_file", (8, -521, 823, 13, 2048)),
+    ])
+    def test_default_grids(self, capsys, monkeypatch, request, model_file, pinned):
+        grids = record_grids(monkeypatch)
+        code, _, _ = run_cli(capsys, "error-sweep", "--model",
+                             request.getfixturevalue(model_file))
+        assert code == 0
+        assert [(g.m, g.k1, g.k2, g.J, g.N) for g in grids] == [pinned]
 
     @pytest.mark.parametrize("strike", ["-1", "nan", "inf"])
     def test_bad_strike_exit_code(self, capsys, lognormal_file, strike):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from conftest import HESTON_HEAVY, HESTON_SHORT, LOGNORMAL_02
+from conftest import HESTON_HEAVY, HESTON_SHORT, LOGNORMAL_02, record_cf_points
 from oracles import black76_call, black76_put, quad_reference_put
 from swiftpricer import (Cumulants, DensityJob, GridSelectionError, HestonParams,
                          ModelSpec, LognormalParams, PayoffJob, PricingContext, ReferenceError,
@@ -17,7 +17,7 @@ from swiftpricer import (Cumulants, DensityJob, GridSelectionError, HestonParams
 import swiftpricer.density as density_mod
 import swiftpricer.payoff as payoff_mod
 import swiftpricer.pricer as pricer_mod
-from swiftpricer.pricer import PAYOFF_STRATEGIES
+from swiftpricer.pricer import PAYOFF_STRATEGIES, grid_for
 
 BLACK_ATM = 7.965567455405804  # Black-76 put, F=K=100, T=1, vol=0.2
 
@@ -32,20 +32,6 @@ def fresh_draw(rng):
                          rng.uniform(2.0 / 365.0, 1.0), 1.0, dyn)
     return ModelSpec(100.0, rng.uniform(0.05, 2.0), rng.uniform(0.9, 1.0),
                      LognormalParams(rng.uniform(0.05, 0.8)))
-
-
-def record_cf_points(monkeypatch):
-    """Route density's and pricer's char_fn through one recorder; returns
-    the list of the point counts of their calls."""
-    sizes = []
-
-    def recording(model, u):
-        sizes.append(np.size(u))
-        return char_fn(model, u)
-
-    monkeypatch.setattr(density_mod, "char_fn", recording)
-    monkeypatch.setattr(pricer_mod, "char_fn", recording)
-    return sizes
 
 
 def short_grid(J=5, m=6, kh=16):
@@ -508,6 +494,13 @@ class TestGridHandover:
         alone = density_trapezoidal_fft(DensityJob(model, grid.m, grid.J, job.k1, job.k2))
         assert coeffs.k1 == alone.k1
         assert np.array_equal(coeffs.values, alone.values)
+
+    @pytest.mark.parametrize("model", REFERENCE_MODELS)
+    def test_grid_for_is_auto_grid_with_its_search(self, model):
+        auto, grid = auto_grid(model, mass_tol=1e-8), grid_for(model)
+        assert grid == auto
+        assert grid._search[0] == auto._search[0]
+        assert np.array_equal(grid._search[1].values, auto._search[1].values)
 
     def test_cf_points_nested_and_handed_over(self, heston_heavy, monkeypatch):
         sizes = record_cf_points(monkeypatch)
