@@ -4,6 +4,7 @@ grid, and provide the independent reference pricer used for error columns.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -72,8 +73,8 @@ class GridSelectionError(RuntimeError):
 
 def truncation_interval(cum: Cumulants, L: float) -> tuple[float, float]:
     """[a, b] = c1 -+ L sqrt(c2 + sqrt|c4|), the cumulant truncation rule."""
-    if not L > 0:
-        raise ValueError("L must be > 0")
+    if not 0 < L < math.inf:
+        raise ValueError(f"L must be finite and > 0, got {L}")
     half = L * np.sqrt(cum.c2 + np.sqrt(abs(cum.c4)))
     return float(cum.c1 - half), float(cum.c1 + half)
 
@@ -188,12 +189,13 @@ class PricingContext:
         g = self.grid
         return _forward_a_terms(g.m, np.arange(g.k1, g.k2), g.a)
 
-    def _payoff_forward(self, K: float) -> np.ndarray:
+    def _put_forward(self, K: float) -> float:
         g = self.grid
-        return payoff_forward_si_ein(K, self.model.forward, g.m,
-                                     np.arange(g.k1, g.k2), g.a, self._forward_a_end)
+        V = payoff_forward_si_ein(K, self.model.forward, g.m, np.arange(g.k1, g.k2),
+                                  g.a, self._forward_a_end)
+        return float(self.model.discount * np.dot(self.coeffs.values, V))
 
-    def _price_put_classic(self, K: float) -> float:
+    def _put_classic(self, K: float) -> float:
         # strike-centered payoff over the shifted window [a+z, z]: the
         # coefficient index k pairs with the classic formula at offset
         # k - 2^m z, and the used k-window [2^m(a+z), 2^m(b+z)) moves with
@@ -231,21 +233,31 @@ class PricingContext:
         signed = (1.0 - 2.0 * (np.abs(ks) & 1)) * c
         return w.real, w.imag, float(signed.sum()), float(np.dot(ks, signed))
 
-    def price_puts(self, strikes) -> np.ndarray:
-        """Put prices for a vector of strikes by the Euler-Maclaurin FFT payoff.
-
-        The price is linear in the density coefficients, so with
-        z = ln(K/F), scale = K e^{-z} 2^{m/2} = F 2^{m/2} and the sums of
-        ``_em_sums`` it is B times
+    def price_puts(self, strikes, payoff_strategy: str = "em_fft") -> np.ndarray:
+        """Put prices B sum_k c_k V_k(K) for a vector of strikes; the routes
+        differ only in V.  ``forward`` and ``classic`` evaluate their Si/Ein
+        closed forms strike by strike.  On ``em_fft`` the price is linear in
+        the density coefficients, so with z = ln(K/F), scale = K e^{-z}
+        2^{m/2} = F 2^{m/2} and the sums of ``_em_sums`` it is B times
 
           scale/N sum_n [C_{n+1/2}(z) alpha_n + S_{n+1/2}(z) beta_n]
             - pi scale/(24 N^2) (D(z) s0 - S_N(z) s1)
 
         (see ``payoff_fft_euler_maclaurin`` for C, S and D).  One FFT per
         context serves every strike; each strike costs the O(N) closed-form
-        moments and two dot products.  Strikes with z <= a price exactly 0.
+        moments and two dot products.  K = 0 prices exactly 0 on every
+        route, as does z <= a on em_fft and forward.
         """
+        if payoff_strategy not in PAYOFF_STRATEGIES:
+            raise ValueError(f"unknown payoff strategy '{payoff_strategy}' "
+                             f"(choose from {PAYOFF_STRATEGIES})")
         K = _check_strikes(strikes)
+        if payoff_strategy != "em_fft":
+            put = self._put_forward if payoff_strategy == "forward" else self._put_classic
+            prices = np.zeros(K.shape)
+            for i in np.flatnonzero(K > 0.0):  # K = 0 stays 0: call(0) = B F exactly
+                prices[i] = put(float(K[i]))
+            return prices
         g, F = self.grid, self.model.forward
         if not g.a < 0 <= g.b:
             raise ValueError(f"need a < 0 <= b for put coverage, got [{g.a}, {g.b}]")
@@ -271,20 +283,7 @@ class PricingContext:
 
     def price_put(self, K: float, payoff_strategy: str = "forward") -> PricingResult:
         t0 = time.perf_counter()
-        if payoff_strategy not in PAYOFF_STRATEGIES:
-            raise ValueError(f"unknown payoff strategy '{payoff_strategy}' "
-                             f"(choose from {PAYOFF_STRATEGIES})")
-        _check_strikes([K])
-        if payoff_strategy == "em_fft":
-            price = float(self.price_puts([K])[0])
-        elif K == 0.0:
-            # worthless put; keeps the parity identity call(0) = B F exact
-            price = 0.0
-        elif payoff_strategy == "forward":
-            V = self._payoff_forward(K)
-            price = float(self.model.discount * np.dot(self.coeffs.values, V))
-        else:
-            price = self._price_put_classic(K)
+        price = float(self.price_puts([K], payoff_strategy)[0])
         return PricingResult(price=price, grid=self.grid,
                              density_strategy=self.density_strategy,
                              payoff_strategy=payoff_strategy,
@@ -308,10 +307,14 @@ def auto_grid(model: ModelSpec, L: float = 10.0, scale_tol: float = 1e-8,
     Each doubling of the window adds one trapezoidal level J, whose even
     nodes are the previous level's: only its odd nodes need the cf.  The
     grid carries the last wide coefficients, which a trapezoidal
-    ``PricingContext`` on it slices instead of redoing the FFT."""
+    ``PricingContext`` on it slices instead of redoing the FFT.  A window
+    past ``max_k_half``, the seed too, raises ``GridSelectionError``."""
     if m is None:
         m = select_scale(model, scale_tol)
     a, b = truncation_interval(cumulants(model), L)
+    if max(-a, b) > math.ldexp(max_k_half, -m):  # 2^m max(-a, b), overflow-free
+        raise GridSelectionError(f"the seed window 2^m max(-a, b) of m = {m}, L = {L} "
+                                 f"exceeds max_k_half = {max_k_half}")
     k_half = 1 << int(np.ceil(np.log2(max(8.0, 2.0**m * max(-a, b)))))
     fhat = None
     while True:
@@ -340,6 +343,15 @@ def _grid(m, k1, k2, J, a, b, L, N=None, search=None) -> WaveletGrid:
     return grid
 
 
+def _k_range(m: int, lo: float, hi: float, L: float | None) -> tuple[int, int]:
+    """(floor(2^m lo), ceil(2^m hi)), refused unless both are finite floats."""
+    scale = 2.0**m if m < 1024 else math.inf
+    k_lo, k_hi = scale * float(lo), scale * float(hi)
+    if not (math.isfinite(k_lo) and math.isfinite(k_hi)):
+        raise ValueError(f"m = {m}, L = {L}: the grid bounds 2^m [a, b] are not finite floats")
+    return int(np.floor(k_lo)), int(np.ceil(k_hi))
+
+
 def grid_for(model: ModelSpec, m: int | None = None, J: int | None = None,
              N: int | None = None, L: float | None = None, mass_tol: float = 1e-8,
              strikes=None) -> WaveletGrid:
@@ -354,8 +366,9 @@ def grid_for(model: ModelSpec, m: int | None = None, J: int | None = None,
       [2^m(a+z), 2^m(b+z)] of each strike and of z = b, one index to spare
       each side; J defaults to max(10, log2(k2 - k1) + 2).
 
-    ``N`` rounds up to a power of two.  A ``J`` that would be ignored, and
-    an ``m``, ``J`` or ``N`` below 1, raise ``ValueError``."""
+    ``N`` rounds up to a power of two.  A ``J`` that would be ignored, an
+    ``m``, ``J`` or ``N`` below 1, and grid bounds that are not finite
+    floats raise ``ValueError``."""
     for name, value in (("m", m), ("J", J), ("N", N)):
         if value is not None and value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
@@ -363,10 +376,11 @@ def grid_for(model: ModelSpec, m: int | None = None, J: int | None = None,
         raise ValueError(f"J = {J} needs m: an auto-selected grid chooses its own J")
     if strikes is None and m is not None and J is not None:
         if L is None:
-            k1, k2 = -(1 << (J - 1)), 1 << (J - 1)
+            h = 2.0 ** (J - 1 - m) if J - 1 - m < 1024 else math.inf
+            k1, k2 = _k_range(m, -h, h, L)
         else:
-            a, b = truncation_interval(cumulants(model), L)
-            k1, k2 = int(np.floor(2.0**m * a)), int(np.ceil(2.0**m * b)) + 1
+            k1, k2 = _k_range(m, *truncation_interval(cumulants(model), L), L)
+            k2 += 1
         return _grid(m, k1, k2, J, k1 / 2.0**m, k2 / 2.0**m, L, N)
     if m is None or strikes is None:
         auto = auto_grid(model, 10.0 if L is None else L, mass_tol=mass_tol, m=m)
@@ -381,8 +395,8 @@ def grid_for(model: ModelSpec, m: int | None = None, J: int | None = None,
     # a zero strike prices 0 on every route and needs no coefficients
     z = np.log(K[K > 0] / model.forward)
     z_max, z_min = np.max(z, initial=b), np.min(z, initial=0.0)
-    k1 = int(np.floor(2.0**m * (a + z_min))) - 1
-    k2 = int(np.ceil(2.0**m * (b + max(z_max, 0.0)))) + 2
+    k1, k2 = _k_range(m, a + z_min, b + max(z_max, 0.0), L)
+    k1, k2 = k1 - 1, k2 + 2
     J = J if J is not None else max(10, (k2 - k1 - 1).bit_length() + 2)
     return _grid(m, k1, k2, J, a, b, L, N)
 

@@ -8,11 +8,11 @@ import pytest
 
 from conftest import record_cf_points
 from oracles import black76_put
-from swiftpricer import (PricingContext, WaveletGrid, auto_grid, model_from_json,
-                         reference_put)
+from swiftpricer import PricingContext, WaveletGrid, model_from_json, reference_put
 import swiftpricer.cli as cli_mod
 import swiftpricer.density as density_mod
 from swiftpricer.cli import build_parser, cmd_error_sweep, main
+from swiftpricer.pricer import grid_for
 
 TABLE1_EXPECTED = {
     "Vieta J=5": -0.0555195115435162,
@@ -108,19 +108,21 @@ class TestPrice:
         assert np.abs(np.array(prices) - refs).max() <= 1e-10 * 100.0
 
     def test_em_fft_strike_vector_matches_api(self, capsys, heston_short_file):
+        # every route: one price_puts call, whose time each strike shares
         strikes = [0.9, 1.0, 1.07]
-        argv = ["price", "--model", heston_short_file, "--payoff", "em-fft"]
-        for K in strikes:
-            argv += ["--strike", repr(K)]
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
-        docs = json.loads(out)
         model = model_from_json(heston_short_file)
-        ctx = PricingContext(model, auto_grid(model, mass_tol=1e-8))
-        assert [d["price"] for d in docs] == ctx.price_puts(strikes).tolist()
-        assert [d["strike"] for d in docs] == strikes
-        assert {d["payoff_strategy"] for d in docs} == {"em_fft"}
-        assert len({d["elapsed_seconds"] for d in docs}) == 1
+        for payoff in ("em-fft", "forward", "classic"):
+            code, out, _ = run_cli(capsys, "price", "--model", heston_short_file,
+                                   "--payoff", payoff, *strike_args(*strikes))
+            assert code == 0
+            docs = json.loads(out)
+            route = payoff.replace("-", "_")
+            grid = grid_for(model, strikes=strikes if route == "classic" else None)
+            prices = PricingContext(model, grid).price_puts(strikes, route).tolist()
+            assert [d["price"] for d in docs] == prices
+            assert [d["strike"] for d in docs] == strikes
+            assert {d["payoff_strategy"] for d in docs} == {route}
+            assert len({d["elapsed_seconds"] for d in docs}) == 1
 
     def test_N_keeps_the_carried_search(self, capsys, monkeypatch, heston_heavy_file):
         argv = ["price", "--model", heston_heavy_file, "--payoff", "em-fft",
@@ -243,6 +245,36 @@ class TestGridOptions:
                 assert json.loads(out)["grid"]["N"] == expect
 
 
+class TestGridDomain:
+    """Grid inputs past the float range, or windows past auto_grid's
+    max_k_half, end in one message line and an exit code, no traceback."""
+
+    @pytest.mark.parametrize("argv, code, cf_points", [
+        # the seed window is refused before the search evaluates the cf
+        (["price", "--m", "25"], 2, []),
+        (["price", "--m", "40"], 2, []),
+        (["price", "--m", "1000"], 2, []),
+        (["price", "--m", "2000"], 2, []),
+        (["price", "--L", "1e12"], 2, [12]),      # select_scale's one call
+        (["price", "--L", "1e308"], 2, [12]),
+        # not finite: L itself, or the grid bounds 2^m [a, b]
+        (["price", "--L", "inf"], 1, [12]),
+        (["error-sweep", "--L", "inf", "--strike", "1"], 1, []),
+        (["price", "--m", "2000", "--J", "8"], 1, []),
+        (["price", "--m", "1", "--J", "1100"], 1, []),
+        (["error-sweep", "--m", "2000"], 1, []),
+        (["error-sweep", "--L", "1e308", "--strike", "1"], 1, []),
+    ])
+    def test_refused(self, capsys, monkeypatch, heston_short_file, argv, code, cf_points):
+        sizes = record_cf_points(monkeypatch)
+        got, out, err = run_cli(capsys, *argv, "--model", heston_short_file)
+        assert got == code
+        assert out == ""
+        assert err.startswith("numerical failure: " if code == 2 else "error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert sizes == cf_points
+
+
 class TestPriceTable:
     def test_rows_and_errors(self, capsys):
         code, out, _ = run_cli(capsys, "price-table")
@@ -342,7 +374,7 @@ class TestErrorSweep:
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 3
         # K=1.4 has z > b: flagged, not dropped
-        assert rows[2][6] in ("beyond_truncation", "window_uncovered")
+        assert rows[2][6] == "beyond_truncation"
         for row in rows[:2]:
             assert abs(float(row[5])) < 1e-6  # forward-route error
 
@@ -369,6 +401,24 @@ class TestErrorSweep:
                              request.getfixturevalue(model_file))
         assert code == 0
         assert [(g.m, g.k1, g.k2, g.J, g.N) for g in grids] == [pinned]
+
+    def test_one_call_per_route(self, capsys, monkeypatch, heston_short_file):
+        calls = []
+
+        def recording(name):
+            real = getattr(PricingContext, name)
+
+            def wrapper(self, strikes, payoff_strategy):
+                calls.append((name, payoff_strategy))
+                return real(self, strikes, payoff_strategy)
+            return wrapper
+
+        for name in ("price_put", "price_puts"):
+            monkeypatch.setattr(PricingContext, name, recording(name))
+        code, out, err = run_cli(capsys, "error-sweep", "--model", heston_short_file)
+        assert code == 0, err
+        assert len(out.strip().splitlines()) == 41
+        assert sorted(calls) == [("price_puts", "classic"), ("price_puts", "forward")]
 
     @pytest.mark.parametrize("strike", ["-1", "nan", "inf"])
     def test_bad_strike_exit_code(self, capsys, lognormal_file, strike):

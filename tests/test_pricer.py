@@ -12,7 +12,8 @@ from swiftpricer import (Cumulants, DensityJob, GridSelectionError, HestonParams
                          ModelSpec, LognormalParams, PayoffJob, PricingContext, ReferenceError,
                          WaveletGrid, auto_grid, char_fn, cumulants,
                          density_trapezoidal_fft, payoff_fft_euler_maclaurin,
-                         payoff_forward_si_ein, reference_call, reference_put,
+                         payoff_classic_si_ein, payoff_forward_si_ein,
+                         reference_call, reference_put,
                          select_k_range, select_scale, truncation_interval)
 import swiftpricer.density as density_mod
 import swiftpricer.payoff as payoff_mod
@@ -20,6 +21,7 @@ import swiftpricer.pricer as pricer_mod
 from swiftpricer.pricer import PAYOFF_STRATEGIES, grid_for
 
 BLACK_ATM = 7.965567455405804  # Black-76 put, F=K=100, T=1, vol=0.2
+REFERENCE_MODELS = [LOGNORMAL_02, HESTON_SHORT, HESTON_HEAVY]
 
 
 def fresh_draw(rng):
@@ -55,8 +57,9 @@ class TestTruncationInterval:
         assert b == pytest.approx(-0.02 + 8 * 0.2, rel=1e-12)
 
     def test_rejects_bad_level(self):
-        with pytest.raises(ValueError):
-            truncation_interval(Cumulants(0.0, 0.01, 0.0), 0.0)
+        for L in (0.0, float("inf")):
+            with pytest.raises(ValueError, match="L must be"):
+                truncation_interval(Cumulants(0.0, 0.01, 0.0), L)
 
 
 class TestSelectScale:
@@ -178,6 +181,8 @@ class TestPricePut:
             PricingContext(lognormal, grid, density_strategy="simpson")
         with pytest.raises(ValueError):
             PricingContext(lognormal, grid).price_put(100.0, payoff_strategy="cosine")
+        with pytest.raises(ValueError, match="unknown payoff strategy"):
+            PricingContext(lognormal, grid).price_puts([100.0], "cosine")
 
 
 class TestForwardRoute:
@@ -266,9 +271,14 @@ class TestPricePuts:
         check_against_oracle(ctx, np.linspace(0.5, 2.5, 41))
 
     def test_scalar_route_is_a_batch_of_one(self, heston_short):
-        ctx = PricingContext(heston_short, auto_grid(heston_short))
-        for K in (0.0, 0.3, 0.97, 1.0, 1.02, 5.0):
-            assert ctx.price_put(K, "em_fft").price == ctx.price_puts([K])[0]
+        strikes = (0.0, 0.3, 0.97, 1.0, 1.02, 5.0)
+        for route in PAYOFF_STRATEGIES:
+            # the classic window moves with the strike: cover each one
+            grid = (grid_for(heston_short, strikes=strikes) if route == "classic"
+                    else auto_grid(heston_short))
+            ctx = PricingContext(heston_short, grid)
+            for K in strikes:
+                assert ctx.price_put(K, route).price == ctx.price_puts([K], route)[0]
 
     def test_zero_strike_exact(self, lognormal):
         ctx = PricingContext(lognormal, auto_grid(lognormal))
@@ -285,9 +295,9 @@ class TestPricePuts:
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), -float("inf")])
     def test_bad_strikes_rejected(self, lognormal, bad):
         ctx = PricingContext(lognormal, auto_grid(lognormal))
-        with pytest.raises(ValueError, match="strike"):
-            ctx.price_puts([100.0, bad])
         for route in PAYOFF_STRATEGIES:
+            with pytest.raises(ValueError, match="strike"):
+                ctx.price_puts([100.0, bad], route)
             with pytest.raises(ValueError, match=f"got {bad!r}"):
                 ctx.price_put(bad, route)
             with pytest.raises(ValueError, match="strike"):
@@ -311,6 +321,49 @@ class TestPricePuts:
         assert np.all(puts <= B * strikes + slack)
 
 
+def forward_oracle(ctx, K):
+    """B sum_k c_k V_k(K), V from one ``payoff_forward_si_ein`` call."""
+    g, F = ctx.grid, ctx.model.forward
+    if K == 0.0:
+        return 0.0
+    V = payoff_forward_si_ein(K, F, g.m, np.arange(g.k1, g.k2), g.a)
+    return float(ctx.model.discount * np.dot(ctx.coeffs.values, V))
+
+
+def classic_oracle(ctx, K):
+    """B sum_k c_k V_k(K) over the strike-shifted window [a+z, b+z]."""
+    g, F = ctx.grid, ctx.model.forward
+    if K == 0.0:
+        return 0.0
+    z = np.log(K / F)
+    k1 = int(np.floor(2.0**g.m * (g.a + z)))
+    k2 = int(np.ceil(2.0**g.m * (g.b + z))) + 1
+    V = payoff_classic_si_ein(K, g.m, np.arange(k1, k2) - 2.0**g.m * z, g.a)
+    return float(ctx.model.discount * np.dot(ctx.coeffs.values[k1 - g.k1:k2 - g.k1], V))
+
+
+class TestSiEinRoutes:
+    """``price_puts`` on forward and classic against the per-strike sums."""
+
+    @pytest.mark.parametrize("model", REFERENCE_MODELS,
+                             ids=["lognormal", "heston_short", "heston_heavy"])
+    @pytest.mark.parametrize("route, oracle", [("forward", forward_oracle),
+                                               ("classic", classic_oracle)],
+                             ids=["forward", "classic"])
+    def test_matches_per_strike_sum(self, model, route, oracle):
+        # error-sweep's grid: m = 8 and the L = 12 cumulant window
+        a, b = truncation_interval(cumulants(model), 12.0)
+        rng = np.random.default_rng(20208)
+        z = np.concatenate([rng.uniform(1.5 * a, 1.5 * b, 46), [0.0, 1.2 * a, 1.2 * b]])
+        assert np.sum(z <= a) >= 2 and np.sum(z > b) >= 2
+        strikes = np.concatenate([[0.0], model.forward * np.exp(z)])
+        ctx = PricingContext(model, grid_for(model, m=8, L=12.0, strikes=strikes))
+        assert (ctx.grid.a, ctx.grid.b) == (a, b)
+        got = ctx.price_puts(strikes, route)
+        assert got.tolist() == [oracle(ctx, K) for K in strikes.tolist()]
+        assert got[0] == 0.0
+
+
 class TestClassicRoute:
     def test_classic_equals_forward_near_money(self, heston_short):
         # wide window so the shifted classic range stays covered
@@ -330,6 +383,9 @@ class TestClassicRoute:
         ctx = PricingContext(heston_short, grid, "trapezoidal")
         with pytest.raises(ValueError, match="not covered"):
             ctx.price_put(1.3, "classic")
+        # one uncovered strike refuses the whole vector
+        with pytest.raises(ValueError, match="not covered"):
+            ctx.price_puts([1.0, 1.3], "classic")
 
 
 class TestStrikeIndependence:
@@ -479,7 +535,6 @@ class TestAutoGrid:
             WaveletGrid(m=4, k1=-8, k2=8, J=5, N=48, a=-1.0, b=1.0)
 
 
-REFERENCE_MODELS = [LOGNORMAL_02, HESTON_SHORT, HESTON_HEAVY]
 
 
 class TestGridHandover:
