@@ -177,8 +177,10 @@ def cmd_error_sweep(args) -> int:
     if args.strike is not None:
         strikes = list(args.strike)  # may be empty: emit the header only
     else:
-        strikes = list(
-            model.forward * np.linspace(np.exp(0.25 * a), np.exp(b) * (1 - 1e-9), 40))
+        with np.errstate(all="ignore"):
+            strikes = model.forward * np.linspace(np.exp(0.25 * a), np.exp(b) * (1 - 1e-9), 40)
+        if not np.isfinite(strikes).all():
+            raise ValueError(f"L = {L}: the default strikes F e^(a/4)..F e^b overflow")
     grid = grid_for(model, m, args.J, args.N, L, args.mass_tol, strikes)
     ctx = PricingContext(model, grid, args.density)
     columns = (ctx.price_puts(strikes, "classic"), ctx.price_puts(strikes, "forward"),

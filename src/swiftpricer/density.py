@@ -189,8 +189,7 @@ def density_vieta_direct(model: ModelSpec, m: int, k, J: int):
         raise ValueError("need m >= 1 and J >= 1")
     n = 1 << (J - 1)
     j = np.arange(1, n + 1)
-    u = (2.0**m) * np.pi * (2 * j - 1) / (1 << J)
-    psi = char_fn(model, u)
+    psi = char_fn(model, _nodes(m, J, 2 * j - 1))
     ks = np.asarray(k)
     out = np.empty(ks.size)
     step = max(1, _BLOCK_ELEMENTS // n)

@@ -7,7 +7,9 @@ Three routes:
     z = ln(K/F), which keeps every coefficient usable for any strike
     inside the truncation,
   * midpoint cosine sum with the second Euler-Maclaurin endpoint
-    correction, evaluated for all k at once with two FFTs of size N.
+    correction, evaluated for all k at once with one inverse DFT of size 2N.
+
+The two closed forms are one integral on two windows (``_si_ein``).
 
 All sign conventions below were fixed against adaptive quadrature of the
 defining integrals (the closed forms and the correction term are easy to
@@ -25,14 +27,36 @@ from .specfun import ein, si
 from .transform import cos_sin_sum
 
 
+def _end_terms(m: int, k, x):
+    """(Im Ein(-t/p + i t), Si(t)) with t = pi(2^m x - k) and p = pi 2^m:
+    the terms of the Si/Ein closed form at one end x of its window."""
+    k = np.asarray(k, dtype=float)
+    p = np.pi * 2.0**m
+    t = np.pi * (2.0**m * x - k)
+    return ein(-t / p + 1j * t).imag, si(t)
+
+
+def _si_ein(K: float, m: int, k, lo: float, hi: float, lo_terms=None):
+    """V = K 2^{m/2} int_lo^hi (1 - e^{y-hi}) sinc(2^m y - k) dy, closed form.
+
+      V = K/(2^{m/2} pi) * ( e^{k/2^m - hi} Im[Ein(-t_lo/p + i t_lo)
+                                               - Ein(-t_hi/p + i t_hi)]
+                             + Si(t_hi) - Si(t_lo) )
+
+    with t_x = pi(2^m x - k) and p = pi 2^m.  ``lo_terms``, if given, is
+    ``_end_terms(m, k, lo)``.
+    """
+    k = np.asarray(k, dtype=float)
+    ein_lo, si_lo = _end_terms(m, k, lo) if lo_terms is None else lo_terms
+    ein_hi, si_hi = _end_terms(m, k, hi)
+    v = K / (2.0 ** (m / 2.0) * np.pi) * (np.exp(k / 2.0**m - hi) * (ein_lo - ein_hi)
+                                           + (si_hi - si_lo))
+    return v if v.ndim else float(v)
+
+
 def payoff_classic_si_ein(K: float, m: int, k, a: float):
-    """V_{m,k} = K 2^{m/2} int_a^0 (1 - e^y) sinc(2^m y - k) dy, closed form.
-
-    With t_a = pi(2^m a - k), t_0 = -pi k and p = pi 2^m:
-
-      V = K/(2^{m/2} pi) * ( e^{k/2^m} Im[Ein(-t_a/p + i t_a)
-                                         - Ein(-t_0/p + i t_0)]
-                             + Si(t_0) - Si(t_a) )
+    """V_{m,k} = K 2^{m/2} int_a^0 (1 - e^y) sinc(2^m y - k) dy: ``_si_ein``
+    on the window [a, 0].
 
     ``k`` may be an array (one coefficient per entry, same shape) and may be
     non-integral (the derivation never uses integrality), which the
@@ -42,70 +66,38 @@ def payoff_classic_si_ein(K: float, m: int, k, a: float):
         raise ValueError("m must be >= 1")
     if not a < 0:
         raise ValueError("a must be < 0")
-    k = np.asarray(k, dtype=float)
-    p = np.pi * 2.0**m
-    t_a = np.pi * (2.0**m * a - k)
-    t_0 = -np.pi * k
-    ein_term = ein(-t_a / p + 1j * t_a).imag - ein(-t_0 / p + 1j * t_0).imag
-    si_term = si(t_0) - si(t_a)
-    v = K / (2.0 ** (m / 2.0) * np.pi) * (np.exp(k / 2.0**m) * ein_term + si_term)
-    return v if v.ndim else float(v)
-
-
-def _forward_a_terms(m: int, k, a: float):
-    """(Im Ein(-t_a/p + i t_a), Si(t_a)), t_a = pi(2^m a - k): the a-end
-    terms of the forward closed form, which do not depend on the strike."""
-    k = np.asarray(k, dtype=float)
-    p = np.pi * 2.0**m
-    t_a = np.pi * (2.0**m * a - k)
-    return ein(-t_a / p + 1j * t_a).imag, si(t_a)
+    return _si_ein(K, m, k, a, 0.0)
 
 
 def payoff_forward_si_ein(K: float, F: float, m: int, k, a: float, a_terms=None):
-    """Forward-centered closed form over the put support [a, z], z = ln(K/F).
-
-      V = K/(2^{m/2} pi) * ( e^{k/2^m - z} Im[Ein(-t_a/p + i t_a)
-                                              - Ein(-t_z/p + i t_z)]
-                             + Si(t_z) - Si(t_a) )
+    """Forward-centered closed form: ``_si_ein`` on the put support [a, z],
+    z = ln(K/F).
 
     ``k`` may be an array (one coefficient per entry, same shape).
-    ``a_terms`` is ``_forward_a_terms(m, k, a)`` when the caller keeps it
-    across strikes; computed here otherwise.  Zero when z <= a (empty
-    support); coincides with the classic form at z = 0 (K = F).
+    ``a_terms`` is ``_end_terms(m, k, a)`` when the caller keeps it across
+    strikes; computed here otherwise.  Zero when z <= a (empty support);
+    coincides with the classic form at z = 0 (K = F).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    k = np.asarray(k, dtype=float)
     z = np.log(K / F)
-    if z <= a:
-        v = np.zeros(k.shape)
-    else:
-        ein_a, si_a = _forward_a_terms(m, k, a) if a_terms is None else a_terms
-        p = np.pi * 2.0**m
-        t_z = np.pi * (2.0**m * z - k)
-        ein_term = ein_a - ein(-t_z / p + 1j * t_z).imag
-        si_term = si(t_z) - si_a
-        v = K / (2.0 ** (m / 2.0) * np.pi) * (np.exp(k / 2.0**m - z) * ein_term
-                                               + si_term)
-    return v if v.ndim else float(v)
+    if z > a:
+        return _si_ein(K, m, k, a, z, a_terms)
+    return np.zeros(np.shape(k)) if np.ndim(k) else 0.0
 
 
 def payoff_classic_vieta(K: float, m: int, k: int, a: float, J: int) -> float:
     """The 2^{J-1}-term cosine-expansion value of the classic integral.
 
-    Each cosine integrates against (1 - e^y) in closed form; kept as the
-    slowly-converging reference row of the accuracy table.
+    Each cosine integrates against (1 - e^y) in closed form
+    (``_trig_moments_arrays`` on [a, 0]); kept as the slowly-converging
+    reference row of the accuracy table.
     """
     n = 1 << (J - 1)
     j = np.arange(1, n + 1)
     w = (2 * j - 1) * np.pi / (1 << J)
-    q = w * 2.0**m
+    ic, is_ = _trig_moments_arrays(w * 2.0**m, a, 0.0)
     s = w * k
-    ea = np.exp(a)
-    denom = 1.0 + q * q
-    # int_a^0 (1-e^y) cos(qy) dy and int_a^0 (1-e^y) sin(qy) dy
-    ic = -np.sin(q * a) / q - (1.0 - ea * (np.cos(q * a) + q * np.sin(q * a))) / denom
-    is_ = (np.cos(q * a) - 1.0) / q - (-q - ea * (np.sin(q * a) - q * np.cos(q * a))) / denom
     total = float(np.sum(ic * np.cos(s) + is_ * np.sin(s)))
     return K * 2.0 ** (m / 2.0) * total / n
 
@@ -129,23 +121,18 @@ def payoff_classic_simpson(K: float, m: int, k: int, a: float, n_points: int) ->
 
 
 def _trig_moments_arrays(q, a: float, z):
-    """Closed-form C, S for frequencies q (q = 0 handled as limit).
+    """C = int_a^z (e^z - e^y) cos(qy) dy and S, the same with sin(qy), in
+    closed form for frequencies q > 0.
 
     ``q`` and ``z`` broadcast against each other: a row of frequencies and a
     column of log-strikes give one row of moments per strike.
     """
-    q = np.asarray(q, dtype=float)
     ez, ea = np.exp(z), np.exp(a)
-    zero = q == 0.0
-    qs = np.where(zero, 1.0, q)
-    denom = 1.0 + qs * qs
-    sz, ca = np.sin(qs * z), np.cos(qs * a)
-    cz, sa = np.cos(qs * z), np.sin(qs * a)
-    out_c = ez * (sz - sa) / qs - (ez * (cz + qs * sz) - ea * (ca + qs * sa)) / denom
-    out_s = ez * (ca - cz) / qs - (ez * (sz - qs * cz) - ea * (sa - qs * ca)) / denom
-    if zero.any():
-        out_c = np.where(zero, ez * (z - a) - (ez - ea), out_c)
-        out_s = np.where(zero, 0.0, out_s)
+    denom = 1.0 + q * q
+    sz, ca = np.sin(q * z), np.cos(q * a)
+    cz, sa = np.cos(q * z), np.sin(q * a)
+    out_c = ez * (sz - sa) / q - (ez * (cz + q * sz) - ea * (ca + q * sa)) / denom
+    out_s = ez * (ca - cz) / q - (ez * (sz - q * cz) - ea * (sa - q * ca)) / denom
     return out_c, out_s
 
 
@@ -219,9 +206,9 @@ def payoff_fft_euler_maclaurin(job: PayoffJob, corrected: bool = True) -> Coeffi
                                                      + S_{n+1/2} sin(pi k (2n+1)/(2N)) ]
               - pi (-1)^k / (24 N^2) * K e^{-z} 2^{m/2} * (D - k S_N)
 
-    The sum is dct2+dst2 of the half-integer moments (two FFTs of size N);
-    the correction costs O(k2-k1) extra multiplications.  Its sign follows
-    the midpoint Euler-Maclaurin formula int f = midpoint + h^2/24 [f'(1)-f'(0)]
+    The sum is ``cos_sin_sum`` of the half-integer moments (one inverse DFT
+    of size 2N); the correction costs O(k2-k1) extra multiplications.  Its
+    sign follows the midpoint Euler-Maclaurin formula int f = midpoint + h^2/24 [f'(1)-f'(0)]
     applied to f(w) = cos(pi x w): f'(1) - f'(0) = -pi x sin(pi x), hence the
     minus (verified against the quadrature oracle; with the opposite sign the
     correction worsens the plain midpoint error instead of achieving O(N^-4)).

@@ -12,10 +12,10 @@ from functools import cached_property
 import numpy as np
 
 from .density import (_BLOCK_ELEMENTS, CoefficientArray, DensityJob,
-                      _trapezoidal_fhat, density_filon, density_mass,
-                      density_midpoint_fft, density_trapezoidal_fft)
+                      _trapezoidal_fhat, density_filon, density_midpoint_fft,
+                      density_trapezoidal_fft)
 from .models import Cumulants, ModelSpec, char_fn, cumulants
-from .payoff import (_forward_a_terms, _trig_moments_arrays, em_correction_D,
+from .payoff import (_end_terms, _trig_moments_arrays, em_correction_D,
                      payoff_classic_si_ein, payoff_forward_si_ein)
 from .transform import inverse_dft
 
@@ -23,6 +23,11 @@ DENSITY_STRATEGIES = ("midpoint", "trapezoidal", "filon")
 PAYOFF_STRATEGIES = ("classic", "forward", "em_fft")
 # Default tolerance of the Filon density route
 FILON_TOL = 1e-8
+# auto_grid's scale cutoff |psi(2^m pi)| and its widest window [-2^15, 2^15),
+# whose trapezoidal job has J = 17; grid_for caps a given J and N there
+_SCALE_TOL = 1e-8
+_MAX_K_HALF = 1 << 15
+_MAX_J = (2 * _MAX_K_HALF).bit_length()
 
 
 @dataclass(frozen=True)
@@ -180,14 +185,11 @@ class PricingContext:
         self.coeffs, self.cf_evals = _compute_density(model, grid,
                                                       density_strategy, filon_tol)
 
-    def density_mass(self) -> float:
-        return density_mass(self.coeffs, self.grid.m)
-
     @cached_property
     def _forward_a_end(self):
         """The strike-independent a-end terms of the forward payoff."""
         g = self.grid
-        return _forward_a_terms(g.m, np.arange(g.k1, g.k2), g.a)
+        return _end_terms(g.m, np.arange(g.k1, g.k2), g.a)
 
     def _put_forward(self, K: float) -> float:
         g = self.grid
@@ -296,9 +298,8 @@ class PricingContext:
         return replace(res, price=res.price + parity)
 
 
-def auto_grid(model: ModelSpec, L: float = 10.0, scale_tol: float = 1e-8,
-              mass_tol: float = 1e-9, m: int | None = None,
-              max_k_half: int = 1 << 15) -> WaveletGrid:
+def auto_grid(model: ModelSpec, L: float = 10.0, mass_tol: float = 1e-9,
+              m: int | None = None) -> WaveletGrid:
     """Grid selection: scale from the cf decay, a seed interval from the
     cumulants, and the k-range from the density-mass doubling search (the
     candidate window itself doubles until the mass target is reachable,
@@ -308,13 +309,13 @@ def auto_grid(model: ModelSpec, L: float = 10.0, scale_tol: float = 1e-8,
     nodes are the previous level's: only its odd nodes need the cf.  The
     grid carries the last wide coefficients, which a trapezoidal
     ``PricingContext`` on it slices instead of redoing the FFT.  A window
-    past ``max_k_half``, the seed too, raises ``GridSelectionError``."""
+    past ``_MAX_K_HALF``, the seed too, raises ``GridSelectionError``."""
     if m is None:
-        m = select_scale(model, scale_tol)
+        m = select_scale(model, _SCALE_TOL)
     a, b = truncation_interval(cumulants(model), L)
-    if max(-a, b) > math.ldexp(max_k_half, -m):  # 2^m max(-a, b), overflow-free
+    if max(-a, b) > math.ldexp(_MAX_K_HALF, -m):  # 2^m max(-a, b), overflow-free
         raise GridSelectionError(f"the seed window 2^m max(-a, b) of m = {m}, L = {L} "
-                                 f"exceeds max_k_half = {max_k_half}")
+                                 f"exceeds max_k_half = {_MAX_K_HALF}")
     k_half = 1 << int(np.ceil(np.log2(max(8.0, 2.0**m * max(-a, b)))))
     fhat = None
     while True:
@@ -327,7 +328,7 @@ def auto_grid(model: ModelSpec, L: float = 10.0, scale_tol: float = 1e-8,
             break
         except GridSelectionError:
             k_half *= 2
-            if k_half > max_k_half:
+            if k_half > _MAX_K_HALF:
                 raise
     return _grid(m, k1, k2, J, min(a, k1 / 2.0**m), max(b, k2 / 2.0**m), L,
                  search=(wide, coeffs))
@@ -367,16 +368,17 @@ def grid_for(model: ModelSpec, m: int | None = None, J: int | None = None,
       each side; J defaults to max(10, log2(k2 - k1) + 2).
 
     ``N`` rounds up to a power of two.  A ``J`` that would be ignored, an
-    ``m``, ``J`` or ``N`` below 1, and grid bounds that are not finite
-    floats raise ``ValueError``."""
-    for name, value in (("m", m), ("J", J), ("N", N)):
-        if value is not None and value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    ``m``, ``J`` or ``N`` below 1, a ``J`` above 17 or ``N`` above 2^17
+    (auto_grid's largest density job), a strike window that needs J > 17,
+    and grid bounds that are not finite floats raise ``ValueError``."""
+    for name, value, cap in (("m", m, math.inf), ("J", J, _MAX_J), ("N", N, 1 << _MAX_J)):
+        if value is not None and not 1 <= value <= cap:
+            raise ValueError(f"{name} must be in [1, {cap}], got {value}")
     if J is not None and m is None and strikes is None:
         raise ValueError(f"J = {J} needs m: an auto-selected grid chooses its own J")
     if strikes is None and m is not None and J is not None:
         if L is None:
-            h = 2.0 ** (J - 1 - m) if J - 1 - m < 1024 else math.inf
+            h = 2.0 ** (J - 1 - m)
             k1, k2 = _k_range(m, -h, h, L)
         else:
             k1, k2 = _k_range(m, *truncation_interval(cumulants(model), L), L)
@@ -397,7 +399,10 @@ def grid_for(model: ModelSpec, m: int | None = None, J: int | None = None,
     z_max, z_min = np.max(z, initial=b), np.min(z, initial=0.0)
     k1, k2 = _k_range(m, a + z_min, b + max(z_max, 0.0), L)
     k1, k2 = k1 - 1, k2 + 2
-    J = J if J is not None else max(10, (k2 - k1 - 1).bit_length() + 2)
+    need = (k2 - k1 - 1).bit_length()  # the smallest J with 2^J >= k2 - k1
+    if need > _MAX_J:
+        raise ValueError(f"J = {need}, needed by the strike window [{k1}, {k2}), exceeds {_MAX_J}")
+    J = J if J is not None else max(10, need + 2)
     return _grid(m, k1, k2, J, a, b, L, N)
 
 

@@ -1,6 +1,7 @@
 """Power-of-two transforms: unscaled inverse DFT (numpy's FFT), DCT-II and
-DST-II (scipy.fft, each one FFT of the same size), plus the combined
-cosine+sine evaluation used for payoff coefficients.
+DST-II (scipy.fft, each one FFT of the same size), and the combined
+cosine+sine sum of the payoff coefficients at any integer frequency (one
+inverse DFT of twice the size).
 """
 
 from __future__ import annotations
@@ -40,38 +41,13 @@ def dst2_via_fft(b) -> np.ndarray:
     return np.concatenate([[0.0], 0.5 * dst(b, type=2)[:-1]])
 
 
-def _extend_indices(ks: np.ndarray, n: int):
-    """Map arbitrary integer frequencies onto the base table 0..N.
-
-    The half-sample angles pi*k*(j+1/2)/N satisfy:
-      k -> -k      : cos even, sin odd
-      k -> k + 2N  : both flip sign
-      k -> 2N - k  : cos flips sign, sin unchanged
-    so every integer k reduces to an index in [0, N] and two signs.
-    """
-    ks = np.asarray(ks, dtype=np.int64)
-    sc = np.ones(ks.shape, dtype=np.int64)
-    ss = np.ones(ks.shape, dtype=np.int64)
-    r = np.abs(ks)
-    ss = np.where(ks < 0, -ss, ss)
-    r = r % (4 * n)
-    wrap = r >= 2 * n
-    r = np.where(wrap, r - 2 * n, r)
-    sc = np.where(wrap, -sc, sc)
-    ss = np.where(wrap, -ss, ss)
-    refl = r > n
-    r = np.where(refl, 2 * n - r, r)
-    sc = np.where(refl, -sc, sc)
-    return r, sc, ss
-
-
 def cos_sin_sum(a, b, k_range) -> np.ndarray:
     """sum_j a_j cos(pi k (j+1/2)/N) + b_j sin(pi k (j+1/2)/N) for each k.
 
-    ``k_range`` is any iterable of integers (negative and >= N allowed; they
-    are folded back by the parity/period structure of the half-sample
-    angles).  One DCT-II and one DST-II of size N fill the table for
-    k = 0..N.
+    ``k_range`` is any iterable of integers, negative and >= N allowed.
+    The sum is Re[e^{i pi k/(2N)} g_k] with g the inverse DFT of a - i b
+    zero-padded to 2N; g has period 2N in k, and k = r + 2N q, 0 <= r < 2N,
+    turns the phase by (-1)^q.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -81,9 +57,6 @@ def cos_sin_sum(a, b, k_range) -> np.ndarray:
     _check_pow2(n)
     ks = np.asarray(list(k_range) if not isinstance(k_range, np.ndarray) else k_range,
                     dtype=np.int64)
-    # table rows k = 0..N; at k = N the cosines vanish, and scipy's DST-II
-    # row j is frequency j+1
-    cos_tab = np.concatenate([0.5 * dct(a, type=2), [0.0]])
-    sin_tab = np.concatenate([[0.0], 0.5 * dst(b, type=2)])
-    idx, sc, ss = _extend_indices(ks, n)
-    return sc * cos_tab[idx] + ss * sin_tab[idx]
+    g = inverse_dft(np.concatenate([a - 1j * b, np.zeros(n)]))
+    q, r = np.divmod(ks, 2 * n)
+    return (1 - 2 * (q & 1)) * (np.exp(1j * np.pi * r / (2 * n)) * g[r]).real

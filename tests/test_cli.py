@@ -246,8 +246,9 @@ class TestGridOptions:
 
 
 class TestGridDomain:
-    """Grid inputs past the float range, or windows past auto_grid's
-    max_k_half, end in one message line and an exit code, no traceback."""
+    """Grid inputs past the float range, or windows and options past
+    auto_grid's largest density job, end in one message line and an exit
+    code, no traceback."""
 
     @pytest.mark.parametrize("argv, code, cf_points", [
         # the seed window is refused before the search evaluates the cf
@@ -264,6 +265,13 @@ class TestGridDomain:
         (["price", "--m", "1", "--J", "1100"], 1, []),
         (["error-sweep", "--m", "2000"], 1, []),
         (["error-sweep", "--L", "1e308", "--strike", "1"], 1, []),
+        # past auto_grid's largest density job (J = 17), given or needed
+        (["price", "--m", "6", "--J", "40"], 1, []),
+        (["price", "--N", "1099511627776"], 1, []),
+        (["error-sweep", "--m", "24", "--strike", "1e-300"], 1, []),
+        # the default strikes F [e^(a/4), e^b] overflow
+        pytest.param(["error-sweep", "--L", "100000"], 1, [],
+                     marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     ])
     def test_refused(self, capsys, monkeypatch, heston_short_file, argv, code, cf_points):
         sizes = record_cf_points(monkeypatch)

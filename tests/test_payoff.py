@@ -128,16 +128,6 @@ class TestTrigMoments:
         c, s = _trig_moments_arrays(0.25 * np.pi * 2**6, -1.0, -1.0)
         assert c == 0.0 and s == 0.0
 
-    def test_zero_frequency_limit(self):
-        a, z = -1.0, 0.1
-        c, s = _trig_moments_arrays(0.0, a, z)
-        assert c == pytest.approx(np.exp(z) * (z - a) - (np.exp(z) - np.exp(a)),
-                                  rel=1e-14)
-        assert s == 0.0
-        # continuity: tiny q approaches the limit
-        c_eps, _ = _trig_moments_arrays(1e-9, a, z)
-        assert c_eps == pytest.approx(c, rel=1e-9)
-
     def test_against_quadrature(self):
         a, z = -1.0, 0.1
         q = 3.0 / 16.0 * np.pi * 64

@@ -133,15 +133,15 @@ class TestCosSinSum:
         assert np.abs(cos_sin_sum(a, b, ks) - naive_cos_sin(a, b, ks)).max() <= 1e-12
 
     def test_extended_k_range_vs_naive(self):
-        # negative k and k beyond N exercise the parity/period folding
+        # negative k and k beyond 2N exercise the period 2N and its sign
         rng = np.random.default_rng(10)
-        n = 32
-        a = rng.normal(size=n)
-        b = rng.normal(size=n)
-        ks = np.arange(-3 * n, 3 * n + 5)
-        got = cos_sin_sum(a, b, ks)
-        ref = naive_cos_sin(a, b, ks)
-        assert np.abs(got - ref).max() <= 1e-12
+        for n in (1, 2, 32):
+            a = rng.normal(size=n)
+            b = rng.normal(size=n)
+            ks = np.arange(-10 * n, 10 * n + 1)
+            got = cos_sin_sum(a, b, ks)
+            ref = naive_cos_sin(a, b, ks)
+            assert np.abs(got - ref).max() <= 1e-12, n
 
     def test_index_n_special_values(self):
         rng = np.random.default_rng(11)
