@@ -24,7 +24,9 @@ PAYOFF_STRATEGIES = ("classic", "forward", "em_fft")
 # Default tolerance of the Filon density route
 FILON_TOL = 1e-8
 # auto_grid's scale cutoff |psi(2^m pi)| and its widest window [-2^15, 2^15),
-# whose trapezoidal job has J = 17; grid_for caps a given J and N there
+# whose trapezoidal job has J = 17; grid_for caps a given N and a strike
+# window there, and a given J at the J = 19 the strike-window default
+# max(10, need + 2) may pick
 _SCALE_TOL = 1e-8
 _MAX_K_HALF = 1 << 15
 _MAX_J = (2 * _MAX_K_HALF).bit_length()
@@ -168,6 +170,15 @@ def _check_strikes(strikes) -> np.ndarray:
     return K
 
 
+def _cis(theta) -> np.ndarray:
+    """e^{i theta} for real theta, filled in place as cos + i sin: about
+    half the time of np.exp(1j * theta)."""
+    out = np.empty(np.shape(theta), dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 class PricingContext:
     """Model + grid + density coefficients, computed once and then shared.
 
@@ -218,48 +229,90 @@ class PricingContext:
 
     @cached_property
     def _em_sums(self):
-        """Everything em_fft pricing needs from the density coefficients:
-        alpha_n + i beta_n = sum_k c_k e^{i pi k (n+1/2)/N} for n < N,
-        s0 = sum_k (-1)^k c_k and s1 = sum_k (-1)^k k c_k."""
+        """Everything em_fft pricing needs from the density coefficients.
+
+        With alpha_n + i beta_n = sum_k c_k e^{i pi k (n+1/2)/N} (n < N) and
+        q_n = (n+1/2) pi 2^m / N, the moment sum of ``_puts_em_fft`` is
+
+          sum_n C_n(z) alpha_n + S_n(z) beta_n
+            = e^z Re sum_n w_n e^{i q_n z} + e^z A0 + B0,
+
+          w_n = -conj(alpha_n + i beta_n) / (q_n (q_n - i)),
+          A0 = sum_n Im(u_n) / q_n,
+          B0 = e^a sum_n (Re(u_n) - q_n Im(u_n)) / (1 + q_n^2),
+          u_n = (alpha_n + i beta_n) e^{-i q_n a}
+
+        Returns (W, A0, B0, s0, s1): W is w reshaped to (N/s, s) with s the
+        largest power of two <= sqrt(N), s0 = sum_k (-1)^k c_k and
+        s1 = sum_k (-1)^k k c_k."""
         g, c = self.grid, self.coeffs.values
         n2 = 2 * g.N
         # e^{i pi (j+2N)(n+1/2)/N} = -e^{i pi j (n+1/2)/N}: fold every 2N
         # wrap of j = k - k1 onto [0, 2N) with a sign flip
         rows = np.pad(c, (0, -len(c) % n2)).reshape(-1, n2)
         folded = rows[0::2].sum(axis=0) - rows[1::2].sum(axis=0)
-        w = inverse_dft(folded * np.exp(1j * np.pi * np.arange(n2) / n2))[:g.N]
+        ab = inverse_dft(folded * _cis(np.pi * np.arange(n2) / n2))[:g.N]
         # e^{i pi k1 (2n+1)/(2N)}, angle reduced exactly in integers
         turns = (g.k1 * (2 * np.arange(g.N) + 1)) % (2 * n2)
-        w *= np.exp(1j * np.pi * turns / n2)
+        ab *= _cis(np.pi * turns / n2)
+        q = (np.arange(g.N) + 0.5) / g.N * (np.pi * 2.0**g.m)
+        w = -ab.conj() / (q * (q - 1j))
+        u = ab * _cis(-q * g.a)
+        a0 = float(np.sum(u.imag / q))
+        b0 = math.exp(g.a) * float(np.sum((u.real - q * u.imag) / (1.0 + q * q)))
         ks = np.arange(g.k1, g.k2)
         signed = (1.0 - 2.0 * (np.abs(ks) & 1)) * c
-        return w.real, w.imag, float(signed.sum()), float(np.dot(ks, signed))
+        # an elementwise sum, not np.dot, keeps this off BLAS and its
+        # thread pool
+        s1 = float((ks * signed).sum())
+        s = 1 << ((g.N.bit_length() - 1) // 2)
+        return w.reshape(-1, s), a0, b0, float(signed.sum()), s1
 
     def price_puts(self, strikes, payoff_strategy: str = "em_fft") -> np.ndarray:
         """Put prices B sum_k c_k V_k(K) for a vector of strikes; the routes
         differ only in V.  ``forward`` and ``classic`` evaluate their Si/Ein
-        closed forms strike by strike.  On ``em_fft`` the price is linear in
-        the density coefficients, so with z = ln(K/F), scale = K e^{-z}
-        2^{m/2} = F 2^{m/2} and the sums of ``_em_sums`` it is B times
-
-          scale/N sum_n [C_{n+1/2}(z) alpha_n + S_{n+1/2}(z) beta_n]
-            - pi scale/(24 N^2) (D(z) s0 - S_N(z) s1)
-
-        (see ``payoff_fft_euler_maclaurin`` for C, S and D).  One FFT per
-        context serves every strike; each strike costs the O(N) closed-form
-        moments and two dot products.  K = 0 prices exactly 0 on every
-        route, as does z <= a on em_fft and forward.
+        closed forms strike by strike; ``em_fft`` is ``_puts_em_fft``.
+        K = 0 prices exactly 0 on every route, as does z <= a on em_fft and
+        forward.  A non-finite price raises ``FloatingPointError`` naming
+        its strike.
         """
         if payoff_strategy not in PAYOFF_STRATEGIES:
             raise ValueError(f"unknown payoff strategy '{payoff_strategy}' "
                              f"(choose from {PAYOFF_STRATEGIES})")
         K = _check_strikes(strikes)
-        if payoff_strategy != "em_fft":
-            put = self._put_forward if payoff_strategy == "forward" else self._put_classic
-            prices = np.zeros(K.shape)
-            for i in np.flatnonzero(K > 0.0):  # K = 0 stays 0: call(0) = B F exactly
-                prices[i] = put(float(K[i]))
-            return prices
+        with np.errstate(over="ignore", invalid="ignore"):
+            if payoff_strategy == "em_fft":
+                prices = self._puts_em_fft(K)
+            else:
+                put = self._put_forward if payoff_strategy == "forward" else self._put_classic
+                prices = np.zeros(K.shape)
+                for i in np.flatnonzero(K > 0.0):  # K = 0 stays 0: call(0) = B F exactly
+                    prices[i] = put(float(K[i]))
+        bad = np.flatnonzero(~np.isfinite(prices))
+        if bad.size:
+            raise FloatingPointError(f"the {payoff_strategy} price of strike "
+                                     f"{float(K[bad[0]])!r} is {prices[bad[0]]}")
+        return prices
+
+    def _puts_em_fft(self, K: np.ndarray) -> np.ndarray:
+        """em_fft puts.  The price is linear in the density coefficients, so
+        with z = ln(K/F), scale = K e^{-z} 2^{m/2} = F 2^{m/2} and the sums
+        of ``_em_sums`` it is B times
+
+          scale/N sum_n [C_{n+1/2}(z) alpha_n + S_{n+1/2}(z) beta_n]
+            - pi scale/(24 N^2) (D(z) s0 - S_N(z) s1)
+
+        (see ``payoff_fft_euler_maclaurin`` for C, S and D), where the
+        moment sum is e^z Re sum_n w_n e^{i q_n z} + e^z A0 + B0.  With
+        q_n = (n+1/2) delta, delta = pi 2^m / N, and n = h s + l, the
+        phases factor as
+        e^{i q_n z} = e^{i delta z/2} e^{i delta s h z} e^{i delta l z}, so
+        for a block of strikes
+
+          sum_n w_n e^{i q_n z} = e^{i delta z/2} sum_h E_hi[h] (W @ E_lo)[h]:
+
+        one complex matrix product and N/s + s exponentials per strike.
+        """
         g, F = self.grid, self.model.forward
         if not g.a < 0 <= g.b:
             raise ValueError(f"need a < 0 <= b for put coverage, got [{g.a}, {g.b}]")
@@ -269,17 +322,20 @@ class PricingContext:
         sums = np.zeros(K.shape)
         if live.size == 0:
             return sums
-        alpha, beta, s0, s1 = self._em_sums
+        W, a0, b0, s0, s1 = self._em_sums
         p = np.pi * 2.0**g.m
-        q = (np.arange(g.N) + 0.5) / g.N * p
-        step = max(1, _BLOCK_ELEMENTS // g.N)
+        n_hi, s = W.shape
+        step = max(1, _BLOCK_ELEMENTS // n_hi)
         for lo in range(0, live.size, step):
             idx = live[lo:lo + step]
             zb = z[idx]
-            c_n, s_n = _trig_moments_arrays(q, g.a, zb[:, None])
+            t = p / g.N * zb
+            e_lo = _cis(np.outer(np.arange(s), t))
+            e_hi = _cis(np.outer(np.arange(0, g.N, s), t))
+            waves = (_cis(0.5 * t) * np.sum(e_hi * (W @ e_lo), axis=0)).real
             _, s_cap = _trig_moments_arrays(p, g.a, zb)
             d_cap = em_correction_D(g.m, g.a, zb)
-            sums[idx] = ((c_n @ alpha + s_n @ beta) / g.N
+            sums[idx] = ((np.exp(zb) * (waves + a0) + b0) / g.N
                          - np.pi / (24.0 * g.N**2) * (d_cap * s0 - s_cap * s1))
         return self.model.discount * F * 2.0 ** (g.m / 2.0) * sums
 
@@ -368,10 +424,12 @@ def grid_for(model: ModelSpec, m: int | None = None, J: int | None = None,
       each side; J defaults to max(10, log2(k2 - k1) + 2).
 
     ``N`` rounds up to a power of two.  A ``J`` that would be ignored, an
-    ``m``, ``J`` or ``N`` below 1, a ``J`` above 17 or ``N`` above 2^17
-    (auto_grid's largest density job), a strike window that needs J > 17,
-    and grid bounds that are not finite floats raise ``ValueError``."""
-    for name, value, cap in (("m", m, math.inf), ("J", J, _MAX_J), ("N", N, 1 << _MAX_J)):
+    ``m``, ``J`` or ``N`` below 1, an ``N`` above 2^17 or a strike window
+    that needs J > 17 (auto_grid's largest density job), a ``J`` above 19
+    (the largest the strike-window default picks), and grid bounds that
+    are not finite floats raise ``ValueError``."""
+    for name, value, cap in (("m", m, math.inf), ("J", J, _MAX_J + 2),
+                             ("N", N, 1 << _MAX_J)):
         if value is not None and not 1 <= value <= cap:
             raise ValueError(f"{name} must be in [1, {cap}], got {value}")
     if J is not None and m is None and strikes is None:

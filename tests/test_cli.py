@@ -159,6 +159,19 @@ class TestPrice:
             ref = reference_put(model, strikes)
             assert np.all(np.abs(prices["classic"] - ref) <= 1e-12 * np.maximum(strikes, F))
 
+    def test_given_J_up_to_the_strike_window_default(self, capsys, heston_heavy_file):
+        # the heavy set's classic strike window picks J = 18 on its own
+        runs = []
+        for extra in ([], ["--J", "18"]):
+            code, out, err = run_cli(capsys, "price", "--model", heston_heavy_file,
+                                     "--payoff", "classic", *extra)
+            assert code == 0, err
+            result = json.loads(out)
+            result["elapsed_seconds"] = None
+            runs.append(result)
+        assert runs[0]["grid"]["J"] == 18
+        assert runs[0] == runs[1]
+
     @pytest.mark.parametrize("payoff", ["em-fft", "forward", "classic"])
     @pytest.mark.parametrize("strike", ["nan", "inf", "-1"])
     def test_bad_strike_exit_code(self, capsys, lognormal_file, payoff, strike):
@@ -265,12 +278,17 @@ class TestGridDomain:
         (["price", "--m", "1", "--J", "1100"], 1, []),
         (["error-sweep", "--m", "2000"], 1, []),
         (["error-sweep", "--L", "1e308", "--strike", "1"], 1, []),
-        # past auto_grid's largest density job (J = 17), given or needed
+        # past the largest J that grid_for picks (19), or past auto_grid's
+        # largest density job (J = 17), given or needed
         (["price", "--m", "6", "--J", "40"], 1, []),
         (["price", "--N", "1099511627776"], 1, []),
         (["error-sweep", "--m", "24", "--strike", "1e-300"], 1, []),
         # the default strikes F [e^(a/4), e^b] overflow
         pytest.param(["error-sweep", "--L", "100000"], 1, [],
+                     marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+        # the Si/Ein closed form overflows where k/2^m - z > 709: the forward
+        # price is NaN, refused instead of printed
+        pytest.param(["error-sweep", "--m", "1", "--L", "30000", "--strike", "1"], 2, [16384],
                      marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     ])
     def test_refused(self, capsys, monkeypatch, heston_short_file, argv, code, cf_points):

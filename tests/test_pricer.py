@@ -270,6 +270,24 @@ class TestPricePuts:
         ctx = PricingContext(heston_short, grid)
         check_against_oracle(ctx, np.linspace(0.5, 2.5, 41))
 
+    @pytest.mark.parametrize("N, n_random", [(1, 40), (2, 40), (32, 40), (1 << 15, 260)])
+    def test_factored_sum_on_hand_built_grids(self, heston_short, N, n_random):
+        # the w_n sum through the (N/s, s) phase table: s = N/s = 1 (N = 1),
+        # s = 1 (N = 2), non-square (32 = 8 x 4, 2^15 = 256 x 128); at
+        # N = 2^15 the strikes fill more than one block of
+        # _BLOCK_ELEMENTS // (N/s) = 256
+        F = heston_short.forward
+        a = float(np.log(0.5 / F))  # z = ln(K/F) is exactly a at K = 0.5
+        grid = WaveletGrid(m=7, k1=-101, k2=139, J=8, N=N, a=a, b=1.05)
+        ctx = PricingContext(heston_short, grid)
+        rng = np.random.default_rng(20210)
+        edges = [0.0, 0.5, 0.5 * (1.0 + 1e-9), F, F * np.exp(1.2 * grid.b)]
+        strikes = np.concatenate([edges, F * np.exp(rng.uniform(a, grid.b, n_random))])
+        if N == 1 << 15:
+            assert len(strikes) > pricer_mod._BLOCK_ELEMENTS // 256
+        got = check_against_oracle(ctx, strikes)
+        assert got[0] == 0.0 and got[1] == 0.0
+
     def test_scalar_route_is_a_batch_of_one(self, heston_short):
         strikes = (0.0, 0.3, 0.97, 1.0, 1.02, 5.0)
         for route in PAYOFF_STRATEGIES:
@@ -362,6 +380,15 @@ class TestSiEinRoutes:
         got = ctx.price_puts(strikes, route)
         assert got.tolist() == [oracle(ctx, K) for K in strikes.tolist()]
         assert got[0] == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_price_refused(self, heston_short):
+        # b ~ 703 at m = 1: e^{k/2^m - z} overflows and V turns NaN
+        ctx = PricingContext(heston_short, grid_for(heston_short, m=1, L=30000.0,
+                                                    strikes=[1.0]))
+        assert np.isfinite(ctx.price_puts([1.0], "classic")).all()
+        with pytest.raises(FloatingPointError, match=r"forward price of strike 1\.0 "):
+            ctx.price_puts([0.0, 1.0], "forward")
 
 
 class TestClassicRoute:
