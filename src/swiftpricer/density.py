@@ -122,28 +122,27 @@ def _density_fft(job: DensityJob, offset: int, fhat=None) -> CoefficientArray:
     t_j = (2j + offset)/(2n), j < 2^{J-1}: offset 1 is the midpoint rule,
     offset 0 the trapezoidal rule (half weight on the first node).
 
-    Loading: f_j = fhat(2^m pi (2j+offset)/n) e^{2 pi i k1 j/n}, zero beyond
-    j = 2^{J-1}; the midpoint recovery applies the half-step phase
-    e^{i pi k/n} elementwise.  ``fhat`` holds the f_j's cf values when the
-    caller has them already; it is not modified.
+    Loading: f_j = fhat(2^m pi (2j+offset)/n), zero beyond j = 2^{J-1};
+    c_k is read at k mod n, the sum's period, so no load phase shifts it.
+    The midpoint recovery applies the half-step phase e^{i pi (k mod 2n)/n}.
+    ``fhat`` holds the f_j's cf values when the caller has them already; it
+    is not modified.
     """
     n = 1 << job.J
     nh = n >> 1
-    j = np.arange(nh)
     if fhat is None:
-        fhat = _fhat(job.model, _nodes(job.m, job.J, 2 * j + offset))
+        fhat = _fhat(job.model, _nodes(job.m, job.J, 2 * np.arange(nh) + offset))
     elif np.shape(fhat) != (nh,):
         raise ValueError(f"fhat must hold the 2^(J-1) = {nh} node values, "
                          f"got shape {np.shape(fhat)}")
     buf = np.zeros(n, dtype=complex)
-    # e^{2 pi i k1 j/n} with the angle reduced exactly in integers, so a
-    # wide grid's phase carries no large-argument rounding
-    buf[:nh] = fhat * np.exp(2j * np.pi * ((job.k1 * j) % n) / n)
+    buf[:nh] = fhat
     if offset == 0:
         buf[0] *= 0.5
-    g = inverse_dft(buf)[: job.k2 - job.k1]
+    k = np.arange(job.k1, job.k2)
+    g = inverse_dft(buf)[k % n]
     if offset:
-        g = np.exp(1j * np.pi * np.arange(job.k1, job.k2) / n) * g
+        g *= np.exp(1j * np.pi * (k % (2 * n)) / n)
     return _coefficients(job.k1, 2.0 ** (job.m / 2.0) / nh * g.real)
 
 

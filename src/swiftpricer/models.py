@@ -90,23 +90,55 @@ class Cumulants:
 
 
 def _heston_cf(u, T, p: HestonParams):
-    """Little-trap Heston cf of y = ln(S_T/F); branch-stable for large T."""
+    """Little-trap Heston cf of y = ln(S_T/F); branch-stable for large T.
+
+    With A = u(u+i), beta = kappa - i rho sigma u, d = sqrt(beta^2 +
+    sigma^2 A), g = (beta-d)/(beta+d) and q = 1 - g e^{-dT}:
+
+      psi = exp(kappa theta/sigma^2 [(beta-d) T - 2 ln(q/(1-g))]
+                + v0 (beta-d)/sigma^2 (1 - e^{-dT})/q),
+
+    evaluated in five full-size complex buffers by in-place arithmetic, in
+    the operation order of that expression: bit for bit its value.
+    """
     u = np.asarray(u, dtype=complex)
-    iu = 1j * u
-    A = iu + u * u
-    beta = p.kappa - p.rho * p.sigma * iu
-    d = np.sqrt(beta * beta + p.sigma * p.sigma * A)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = (beta - d) / (beta + d)
-        edt = np.exp(-d * T)
-        C = p.kappa * p.theta / p.sigma**2 * (
-            (beta - d) * T - 2.0 * np.log((1.0 - g * edt) / (1.0 - g))
-        )
-        D = (beta - d) / p.sigma**2 * (1.0 - edt) / (1.0 - g * edt)
-        out = np.exp(C + D * p.v0)
+    shape = u.shape
+    u = u.reshape(-1)  # ufuncs on 0-d input return scalars, not buffers
+    a = u * 1j
+    beta = a * (-p.rho * p.sigma)
+    beta += p.kappa
+    d = u * u
+    a += d
     # A = u(u+i) = 0 at u = 0 and u = -i, where psi = 1 exactly
     # (normalization resp. the martingale condition E[e^y] = 1)
-    return np.where(A == 0, 1.0 + 0.0j, out)
+    one = a == 0
+    np.multiply(beta, beta, out=d)
+    a *= p.sigma * p.sigma
+    d += a
+    np.sqrt(d, out=d)
+    bmd = beta - d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.add(beta, d, out=beta)
+        np.divide(bmd, g, out=g)
+        edt = np.multiply(d, -T, out=d)
+        np.exp(edt, out=edt)
+        q = np.multiply(g, edt, out=a)
+        np.subtract(1.0, q, out=q)
+        log_ratio = np.subtract(1.0, g, out=g)
+        np.divide(q, log_ratio, out=log_ratio)
+        np.log(log_ratio, out=log_ratio)
+        v0d = bmd / p.sigma**2
+        v0d *= np.subtract(1.0, edt, out=edt)
+        v0d /= q
+        v0d *= p.v0
+        c = np.multiply(bmd, T, out=bmd)
+        log_ratio *= 2.0
+        c -= log_ratio
+        c *= p.kappa * p.theta / p.sigma**2
+        c += v0d
+        out = np.exp(c, out=c)
+    out[one] = 1.0
+    return out.reshape(shape)
 
 
 def _lognormal_cf(u, T, p: LognormalParams):

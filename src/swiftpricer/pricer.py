@@ -17,7 +17,6 @@ from .density import (_BLOCK_ELEMENTS, CoefficientArray, DensityJob,
 from .models import Cumulants, ModelSpec, char_fn, cumulants
 from .payoff import (_end_terms, _trig_moments_arrays, em_correction_D,
                      payoff_classic_si_ein, payoff_forward_si_ein)
-from .transform import inverse_dft
 
 DENSITY_STRATEGIES = ("midpoint", "trapezoidal", "filon")
 PAYOFF_STRATEGIES = ("classic", "forward", "em_fft")
@@ -242,25 +241,22 @@ class PricingContext:
           B0 = e^a sum_n (Re(u_n) - q_n Im(u_n)) / (1 + q_n^2),
           u_n = (alpha_n + i beta_n) e^{-i q_n a}
 
+        alpha_n + i beta_n = sum_k c_k e^{2 pi i k (2n+1)/(4N)} is the
+        conjugate of odd bin 2n+1 of one real FFT of length 4N, with c_k
+        accumulated at k mod 4N (the sum's period in k).
+
         Returns (W, A0, B0, s0, s1): W is w reshaped to (N/s, s) with s the
         largest power of two <= sqrt(N), s0 = sum_k (-1)^k c_k and
         s1 = sum_k (-1)^k k c_k."""
         g, c = self.grid, self.coeffs.values
-        n2 = 2 * g.N
-        # e^{i pi (j+2N)(n+1/2)/N} = -e^{i pi j (n+1/2)/N}: fold every 2N
-        # wrap of j = k - k1 onto [0, 2N) with a sign flip
-        rows = np.pad(c, (0, -len(c) % n2)).reshape(-1, n2)
-        folded = rows[0::2].sum(axis=0) - rows[1::2].sum(axis=0)
-        ab = inverse_dft(folded * _cis(np.pi * np.arange(n2) / n2))[:g.N]
-        # e^{i pi k1 (2n+1)/(2N)}, angle reduced exactly in integers
-        turns = (g.k1 * (2 * np.arange(g.N) + 1)) % (2 * n2)
-        ab *= _cis(np.pi * turns / n2)
+        ks = np.arange(g.k1, g.k2)
+        x = np.bincount(ks % (4 * g.N), weights=c, minlength=4 * g.N)
+        ab_conj = np.fft.rfft(x)[1:2 * g.N:2]
         q = (np.arange(g.N) + 0.5) / g.N * (np.pi * 2.0**g.m)
-        w = -ab.conj() / (q * (q - 1j))
-        u = ab * _cis(-q * g.a)
+        w = -ab_conj / (q * (q - 1j))
+        u = ab_conj.conj() * _cis(-q * g.a)
         a0 = float(np.sum(u.imag / q))
         b0 = math.exp(g.a) * float(np.sum((u.real - q * u.imag) / (1.0 + q * q)))
-        ks = np.arange(g.k1, g.k2)
         signed = (1.0 - 2.0 * (np.abs(ks) & 1)) * c
         # an elementwise sum, not np.dot, keeps this off BLAS and its
         # thread pool

@@ -10,33 +10,39 @@ import numpy as np
 from scipy.fft import dct, dst
 
 
-def _check_pow2(n: int) -> None:
+def _check_pow2(x: np.ndarray) -> int:
+    """The length of ``x``, refused unless ``x`` is 1-D of power-of-two
+    length (each transform runs along the last axis)."""
+    if x.ndim != 1:
+        raise ValueError(f"input must be 1-D, got shape {x.shape}")
+    n = x.shape[0]
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"length must be a power of two, got {n}")
+    return n
 
 
 def inverse_dft(buf) -> np.ndarray:
     """Unscaled inverse DFT: g_l = sum_j f_j e^{+2 pi i l j / n}.
 
-    Input length must be a power of two.  Out-of-place: the input buffer
+    Input must be 1-D of power-of-two length.  Out-of-place: the input buffer
     is never modified.
     """
     f = np.asarray(buf, dtype=complex)
-    _check_pow2(f.shape[0])
+    _check_pow2(f)
     return np.fft.ifft(f, norm="forward")
 
 
 def dct2_via_fft(a) -> np.ndarray:
     """DCT-II: a_hat_k = sum_j a_j cos(pi k (j+1/2)/N), one FFT of size N."""
     a = np.asarray(a, dtype=float)
-    _check_pow2(a.shape[0])
+    _check_pow2(a)
     return 0.5 * dct(a, type=2)
 
 
 def dst2_via_fft(b) -> np.ndarray:
     """DST-II: b_hat_k = sum_j b_j sin(pi k (j+1/2)/N), one FFT of size N."""
     b = np.asarray(b, dtype=float)
-    _check_pow2(b.shape[0])
+    _check_pow2(b)
     # scipy's row j is frequency j+1; frequency 0 is identically zero
     return np.concatenate([[0.0], 0.5 * dst(b, type=2)[:-1]])
 
@@ -53,8 +59,7 @@ def cos_sin_sum(a, b, k_range) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError("a and b must have the same length")
-    n = a.shape[0]
-    _check_pow2(n)
+    n = _check_pow2(a)
     ks = np.asarray(list(k_range) if not isinstance(k_range, np.ndarray) else k_range,
                     dtype=np.int64)
     g = inverse_dft(np.concatenate([a - 1j * b, np.zeros(n)]))

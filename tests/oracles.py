@@ -12,9 +12,44 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.stats import norm
 
+from swiftpricer import char_fn
 from swiftpricer.density import (_NODES, _PROBE, _VAND_INV, CoefficientArray,
                                  FilonConvergenceError, _fhat, _moments,
                                  _poly_eval)
+
+
+def naive_heston_cf(u, T, p):
+    """The little-trap Heston cf of y = ln(S_T/F), one full-size temporary
+    per operation: the expression the in-place ``_heston_cf`` evaluates."""
+    u = np.asarray(u, dtype=complex)
+    iu = 1j * u
+    A = iu + u * u
+    beta = p.kappa - p.rho * p.sigma * iu
+    d = np.sqrt(beta * beta + p.sigma * p.sigma * A)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = (beta - d) / (beta + d)
+        edt = np.exp(-d * T)
+        C = p.kappa * p.theta / p.sigma**2 * (
+            (beta - d) * T - 2.0 * np.log((1.0 - g * edt) / (1.0 - g))
+        )
+        D = (beta - d) / p.sigma**2 * (1.0 - edt) / (1.0 - g * edt)
+        out = np.exp(C + D * p.v0)
+    # A = u(u+i) = 0 at u = 0 and u = -i, where psi = 1 exactly
+    # (normalization resp. the martingale condition E[e^y] = 1)
+    return np.where(A == 0, 1.0 + 0.0j, out)
+
+
+def direct_trapezoidal(model, m, J, ks):
+    """c_{m,k} by the trapezoidal rule as an explicit sum over its 2^{J-1}
+    nodes 2^m pi 2j/2^J (half weight at j = 0), the phase k j reduced
+    mod 2^J in integers."""
+    n = 1 << J
+    j = np.arange(n // 2)
+    psi = char_fn(model, -(2.0**m) * np.pi * (2 * j) / n)
+    psi[0] *= 0.5
+    out = [np.sum((psi * np.exp(2j * np.pi * ((int(k) * j) % n) / n)).real)
+           for k in ks]
+    return 2.0 ** (m / 2.0) / (n // 2) * np.array(out)
 
 
 def naive_inverse_dft(x):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import HESTON_HEAVY, HESTON_SHORT, LOGNORMAL_02, POINT_MASS
-from oracles import (lognormal_density, quad_density_parseval,
-                     quad_density_projection, recursive_filon)
+from oracles import (direct_trapezoidal, lognormal_density,
+                     quad_density_parseval, quad_density_projection,
+                     recursive_filon)
 import swiftpricer.density as density_mod
 from swiftpricer import (CoefficientArray, DensityJob, FilonConvergenceError,
                          char_fn, density_filon, density_mass,
@@ -160,6 +161,22 @@ class TestTrapezoidal:
         hi = density_trapezoidal_fft(DensityJob(heston_heavy, m, J, 0, 64))
         got = np.concatenate([[full.at(-64)], lo.values, hi.values[1:]])
         assert np.abs(got - full.values).max() <= 1e-12 * 2 ** (m / 2)
+
+
+class TestCircularIndex:
+    # c_k is read at k mod 2^J: a full-width window far from zero and not
+    # aligned to 2^J wraps once inside the transform
+    @pytest.mark.parametrize("model", [LOGNORMAL_02, HESTON_SHORT, HESTON_HEAVY])
+    @pytest.mark.parametrize("m,J", [(4, 6), (6, 8)])
+    def test_far_window_equals_direct_sums(self, model, m, J):
+        k1 = -3 * (1 << J) + 5
+        job = DensityJob(model, m, J, k1, k1 + (1 << J))
+        ks = np.arange(job.k1, job.k2)
+        tol = 1e-13 * 2 ** (m / 2)
+        mid = density_midpoint_fft(job)
+        assert np.abs(mid.values - density_vieta_direct(model, m, ks, J)).max() <= tol
+        trap = density_trapezoidal_fft(job)
+        assert np.abs(trap.values - direct_trapezoidal(model, m, J, ks)).max() <= tol
 
 
 class TestNestedNodes:

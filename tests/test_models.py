@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import HESTON_HEAVY, HESTON_SHORT, LOGNORMAL_02
-from oracles import fd_cumulants
+from oracles import fd_cumulants, naive_heston_cf
 from swiftpricer import (HestonParams, LognormalParams, ModelSpec, char_fn,
                          cumulants, model_from_dict, model_from_json)
+from swiftpricer.density import _nodes
 
 # pinned by two independent high-precision routes: a 40-digit evaluation of
 # the closed form and a DOP853 integration of the Riccati system (they agree
@@ -92,6 +93,65 @@ class TestCharFn:
     def test_martingale(self, model):
         # analytic continuation at u = -i: E[e^y] = 1
         assert abs(char_fn(model, -1j) - 1.0) <= 1e-9
+
+
+def heston_sweep(seed, count):
+    """Seeded Heston models at the edges of the domain: kappa = 0 in every
+    fourth draw, rho = -1, +1 or uniform in turn, sigma up to 5 (most
+    draws violate the Feller condition 2 kappa theta >= sigma^2), and
+    maturities from two days to ten years."""
+    rng = np.random.default_rng(seed)
+    models = []
+    for i in range(count):
+        dyn = HestonParams(v0=rng.uniform(1e-3, 0.5),
+                           kappa=0.0 if i % 4 == 0 else rng.uniform(0.0, 5.0),
+                           theta=rng.uniform(0.0, 0.5), sigma=rng.uniform(0.05, 5.0),
+                           rho=(-1.0, 1.0, rng.uniform(-1.0, 1.0))[i % 3])
+        models.append(ModelSpec(1.0, float(rng.choice([2 / 365, 0.25, 1.0, 10.0])),
+                                1.0, dyn))
+    return models
+
+
+HESTON_SWEEP = heston_sweep(2027, 48) + [HESTON_SHORT, HESTON_HEAVY]
+
+
+class TestHestonCfOracle:
+    def test_sweep_covers_the_edges(self):
+        dyns = [model.dynamics for model in HESTON_SWEEP]
+        assert sum(2 * d.kappa * d.theta < d.sigma**2 for d in dyns) > len(dyns) // 2
+        assert {-1.0, 1.0} <= {d.rho for d in dyns}
+        assert any(d.kappa == 0.0 for d in dyns) and max(d.sigma for d in dyns) > 4.5
+
+    @pytest.mark.parametrize("m,J", [(3, 9), (7, 11)])
+    def test_real_u_on_density_nodes(self, m, J):
+        # both FFT rules' nodes, at fhat(x) = psi(-x)
+        u = -_nodes(m, J, np.arange(1 << J))
+        for model in HESTON_SWEEP:
+            ref = naive_heston_cf(u, model.maturity, model.dynamics)
+            assert np.abs(char_fn(model, u) - ref).max() <= 1e-15, model
+
+    def test_complex_u_on_the_damping_contour(self):
+        # reference_put's psi(u - i/2)
+        u = np.concatenate([np.linspace(0.0, 200.0, 1001),
+                            np.geomspace(200.0, 1e5, 200)]) - 0.5j
+        for model in HESTON_SWEEP:
+            ref = naive_heston_cf(u, model.maturity, model.dynamics)
+            assert np.abs(char_fn(model, u) - ref).max() <= 1e-15, model
+
+    def test_exactly_one_at_zero_and_minus_i_inside_arrays(self):
+        u = np.array([-3.0, 0.0, 2.5 - 0.5j, -1j, 7.0, 0.0])
+        for model in HESTON_SWEEP + [LOGNORMAL_02]:
+            psi = char_fn(model, u)
+            assert psi[1] == psi[3] == psi[5] == 1.0, model
+            assert np.all(np.isfinite(psi))
+            # the caller's array is not written to
+            assert u[1] == 0.0 and u[3] == -1j
+
+    def test_scalar_in_complex_out(self):
+        for u in (0.0, 1.0, -1j, 2.0 - 0.5j):
+            psi = char_fn(HESTON_HEAVY, u)
+            assert type(psi) is complex
+            assert psi == complex(char_fn(HESTON_HEAVY, np.array([u]))[0])
 
 
 class TestCumulants:

@@ -165,3 +165,15 @@ class TestCosSinSum:
         lhs = cos_sin_sum(2.0 * a1 - a2, 2.0 * b1 - b2, ks)
         rhs = 2.0 * cos_sin_sum(a1, b1, ks) - cos_sin_sum(a2, b2, ks)
         assert np.abs(lhs - rhs).max() <= 1e-12
+
+
+class TestOneDimensional:
+    # each transform runs along the last axis, so anything but a 1-D input
+    # is refused rather than transformed row by row
+    @pytest.mark.parametrize("shape", [(), (2, 4), (4, 2), (2, 3), (1, 8)])
+    @pytest.mark.parametrize("fn", [
+        inverse_dft, dct2_via_fft, dst2_via_fft,
+        lambda x: cos_sin_sum(x, x, range(4))])
+    def test_rejects_non_1d(self, fn, shape):
+        with pytest.raises(ValueError, match="1-D"):
+            fn(np.ones(shape))
