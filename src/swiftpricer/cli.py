@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 input error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import statistics
 import sys
@@ -183,7 +184,8 @@ def cmd_error_sweep(args) -> int:
             raise ValueError(f"L = {L}: the default strikes F e^(a/4)..F e^b overflow")
     grid = grid_for(model, m, args.J, args.N, L, args.mass_tol, strikes)
     ctx = PricingContext(model, grid, args.density)
-    columns = (ctx.price_puts(strikes, "classic"), ctx.price_puts(strikes, "forward"),
+    # one pass prices both Si/Ein routes, sharing each strike's z-end terms
+    columns = (*ctx.price_puts(strikes, ("classic", "forward")),
                reference_put(model, strikes))
     rows = []
     for K, cls, fwd, ref in zip(strikes, *(col.tolist() for col in columns)):
@@ -263,8 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# parsing leaves no state in the parser, so main builds it once per process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     args.payoff = args.payoff.replace("-", "_")
     needs_model = args.fn in (cmd_price, cmd_density_table, cmd_init_table,
                               cmd_error_sweep, cmd_bench)

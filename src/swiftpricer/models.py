@@ -207,33 +207,50 @@ def cumulants(model: ModelSpec) -> Cumulants:
     return Cumulants(c1=float(c1), c2=float(c2), c4=0.0)
 
 
+# JSON's name for each non-number type json.load returns
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
+               type(None): "null"}
+
+
+def _fields(block, keys, name: str) -> dict:
+    """The number at each key of the JSON object ``block``, as floats.
+
+    A block that is not an object, a missing key, a null, boolean, array or
+    object value, and an integer past the float range raise ``ValueError``
+    naming the block and key."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{name} must be a JSON object, "
+                         f"got {_JSON_TYPES.get(type(block), 'number')}")
+    out = {}
+    for key in keys:
+        if key not in block:
+            raise ValueError(f"{name} missing required key '{key}'")
+        kind = _JSON_TYPES.get(type(block[key]), "number")
+        if kind not in ("number", "string"):
+            raise ValueError(f"{name} key '{key}' must be a number, got {kind}")
+        try:
+            out[key] = float(block[key])
+        except OverflowError:
+            raise ValueError(f"{name} key '{key}' is out of the float range") from None
+    return out
+
+
 def model_from_dict(doc: dict) -> ModelSpec:
     """Build a ModelSpec from the JSON document layout.
 
     {"forward": F, "maturity": T, "discount": B,
      "heston": {"v0":..,"kappa":..,"theta":..,"sigma":..,"rho":..}}
-    or ... "lognormal": {"vol": ..}.
+    or ... "lognormal": {"vol": ..}.  Anything else raises ``ValueError``.
     """
-    for key in ("forward", "maturity", "discount"):
-        if key not in doc:
-            raise ValueError(f"model document missing required key '{key}'")
+    spec = _fields(doc, ("forward", "maturity", "discount"), "model document")
     if "heston" in doc:
-        h = doc["heston"]
-        for key in ("v0", "kappa", "theta", "sigma", "rho"):
-            if key not in h:
-                raise ValueError(f"heston block missing required key '{key}'")
-        dyn = HestonParams(v0=float(h["v0"]), kappa=float(h["kappa"]),
-                           theta=float(h["theta"]), sigma=float(h["sigma"]),
-                           rho=float(h["rho"]))
+        dyn = HestonParams(**_fields(doc["heston"], ("v0", "kappa", "theta", "sigma", "rho"),
+                                     "heston block"))
     elif "lognormal" in doc:
-        block = doc["lognormal"]
-        if "vol" not in block:
-            raise ValueError("lognormal block missing required key 'vol'")
-        dyn = LognormalParams(vol=float(block["vol"]))
+        dyn = LognormalParams(**_fields(doc["lognormal"], ("vol",), "lognormal block"))
     else:
         raise ValueError("model document needs a 'heston' or 'lognormal' block")
-    return ModelSpec(forward=float(doc["forward"]), maturity=float(doc["maturity"]),
-                     discount=float(doc["discount"]), dynamics=dyn)
+    return ModelSpec(**spec, dynamics=dyn)
 
 
 def model_from_json(path) -> ModelSpec:

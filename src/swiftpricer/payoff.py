@@ -36,53 +36,57 @@ def _end_terms(m: int, k, x):
     return ein(-t / p + 1j * t).imag, si(t)
 
 
-def _si_ein(K: float, m: int, k, lo: float, hi: float, lo_terms=None):
+def _si_ein(K: float, m: int, k, lo: float, hi: float, lo_terms=None, hi_terms=None):
     """V = K 2^{m/2} int_lo^hi (1 - e^{y-hi}) sinc(2^m y - k) dy, closed form.
 
       V = K/(2^{m/2} pi) * ( e^{k/2^m - hi} Im[Ein(-t_lo/p + i t_lo)
                                                - Ein(-t_hi/p + i t_hi)]
                              + Si(t_hi) - Si(t_lo) )
 
-    with t_x = pi(2^m x - k) and p = pi 2^m.  ``lo_terms``, if given, is
-    ``_end_terms(m, k, lo)``.
+    with t_x = pi(2^m x - k) and p = pi 2^m.  ``lo_terms`` and ``hi_terms``,
+    if given, are ``_end_terms(m, k, lo)`` and ``_end_terms(m, k, hi)``.
     """
     k = np.asarray(k, dtype=float)
     ein_lo, si_lo = _end_terms(m, k, lo) if lo_terms is None else lo_terms
-    ein_hi, si_hi = _end_terms(m, k, hi)
+    ein_hi, si_hi = _end_terms(m, k, hi) if hi_terms is None else hi_terms
     v = K / (2.0 ** (m / 2.0) * np.pi) * (np.exp(k / 2.0**m - hi) * (ein_lo - ein_hi)
                                            + (si_hi - si_lo))
     return v if v.ndim else float(v)
 
 
-def payoff_classic_si_ein(K: float, m: int, k, a: float):
+def payoff_classic_si_ein(K: float, m: int, k, a: float, zero_terms=None):
     """V_{m,k} = K 2^{m/2} int_a^0 (1 - e^y) sinc(2^m y - k) dy: ``_si_ein``
     on the window [a, 0].
 
     ``k`` may be an array (one coefficient per entry, same shape) and may be
     non-integral (the derivation never uses integrality), which the
-    shifted-window classic pricing route relies on.
+    shifted-window classic pricing route relies on.  ``zero_terms`` is
+    ``_end_terms(m, k, 0.0)`` when the caller has it; computed here
+    otherwise.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if not a < 0:
         raise ValueError("a must be < 0")
-    return _si_ein(K, m, k, a, 0.0)
+    return _si_ein(K, m, k, a, 0.0, hi_terms=zero_terms)
 
 
-def payoff_forward_si_ein(K: float, F: float, m: int, k, a: float, a_terms=None):
+def payoff_forward_si_ein(K: float, F: float, m: int, k, a: float, a_terms=None,
+                          z_terms=None):
     """Forward-centered closed form: ``_si_ein`` on the put support [a, z],
     z = ln(K/F).
 
     ``k`` may be an array (one coefficient per entry, same shape).
-    ``a_terms`` is ``_end_terms(m, k, a)`` when the caller keeps it across
-    strikes; computed here otherwise.  Zero when z <= a (empty support);
-    coincides with the classic form at z = 0 (K = F).
+    ``a_terms`` and ``z_terms`` are ``_end_terms(m, k, a)`` and
+    ``_end_terms(m, k, z)`` when the caller has them; computed here
+    otherwise.  Zero when z <= a (empty support); coincides with the
+    classic form at z = 0 (K = F).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     z = np.log(K / F)
     if z > a:
-        return _si_ein(K, m, k, a, z, a_terms)
+        return _si_ein(K, m, k, a, z, a_terms, z_terms)
     return np.zeros(np.shape(k)) if np.ndim(k) else 0.0
 
 

@@ -201,30 +201,41 @@ class PricingContext:
         g = self.grid
         return _end_terms(g.m, np.arange(g.k1, g.k2), g.a)
 
-    def _put_forward(self, K: float) -> float:
-        g = self.grid
-        V = payoff_forward_si_ein(K, self.model.forward, g.m, np.arange(g.k1, g.k2),
-                                  g.a, self._forward_a_end)
-        return float(self.model.discount * np.dot(self.coeffs.values, V))
+    def _put_si_ein(self, K: float, routes) -> dict:
+        """The ``forward`` and ``classic`` puts among ``routes`` of one
+        strike K > 0, by their Si/Ein closed forms.
 
-    def _put_classic(self, K: float) -> float:
-        # strike-centered payoff over the shifted window [a+z, z]: the
-        # coefficient index k pairs with the classic formula at offset
-        # k - 2^m z, and the used k-window [2^m(a+z), 2^m(b+z)) moves with
-        # the strike (rounded outward for wider coverage)
-        g = self.grid
+        With z = ln(K/F) and s = 2^m z, the classic form's 0-end terms at the
+        shifted index k - s are at t = pi(0 - (k - s)), the same floats as
+        the forward form's z-end terms t = pi(s - k) at k: when both routes
+        are asked, one ``_end_terms`` call at z serves both.
+        """
+        g, B = self.grid, self.model.discount
         z = np.log(K / self.model.forward)
-        shift = 2.0**g.m * z
-        k1c = int(np.floor(2.0**g.m * (g.a + z)))
-        k2c = int(np.ceil(2.0**g.m * (g.b + z))) + 1
-        if k1c < g.k1 or k2c > g.k2:
-            raise ValueError(
-                f"classic payoff window [{k1c}, {k2c}) not covered by the "
-                f"density range [{g.k1}, {g.k2}); widen the grid")
-        ks = np.arange(k1c, k2c)
-        V = payoff_classic_si_ein(K, g.m, ks - shift, g.a)
-        c = self.coeffs.values[k1c - g.k1: k2c - g.k1]
-        return float(self.model.discount * np.dot(c, V))
+        ks = np.arange(g.k1, g.k2)
+        z_terms = (_end_terms(g.m, ks, z)
+                   if "forward" in routes and "classic" in routes and z > g.a else None)
+        puts = {}
+        if "forward" in routes:
+            V = payoff_forward_si_ein(K, self.model.forward, g.m, ks, g.a,
+                                      self._forward_a_end, z_terms)
+            puts["forward"] = float(B * np.dot(self.coeffs.values, V))
+        if "classic" in routes:
+            # strike-centered payoff over the shifted window [a+z, z]: the
+            # coefficient index k pairs with the classic formula at offset
+            # k - 2^m z, and the used k-window [2^m(a+z), 2^m(b+z)) moves
+            # with the strike (rounded outward for wider coverage)
+            k1c = int(np.floor(2.0**g.m * (g.a + z)))
+            k2c = int(np.ceil(2.0**g.m * (g.b + z))) + 1
+            if k1c < g.k1 or k2c > g.k2:
+                raise ValueError(
+                    f"classic payoff window [{k1c}, {k2c}) not covered by the "
+                    f"density range [{g.k1}, {g.k2}); widen the grid")
+            window = slice(k1c - g.k1, k2c - g.k1)
+            zero_terms = None if z_terms is None else tuple(t[window] for t in z_terms)
+            V = payoff_classic_si_ein(K, g.m, ks[window] - 2.0**g.m * z, g.a, zero_terms)
+            puts["classic"] = float(B * np.dot(self.coeffs.values[window], V))
+        return puts
 
     @cached_property
     def _em_sums(self):
@@ -264,31 +275,42 @@ class PricingContext:
         s = 1 << ((g.N.bit_length() - 1) // 2)
         return w.reshape(-1, s), a0, b0, float(signed.sum()), s1
 
-    def price_puts(self, strikes, payoff_strategy: str = "em_fft") -> np.ndarray:
+    def price_puts(self, strikes, payoff_strategy="em_fft") -> np.ndarray:
         """Put prices B sum_k c_k V_k(K) for a vector of strikes; the routes
         differ only in V.  ``forward`` and ``classic`` evaluate their Si/Ein
         closed forms strike by strike; ``em_fft`` is ``_puts_em_fft``.
         K = 0 prices exactly 0 on every route, as does z <= a on em_fft and
         forward.  A non-finite price raises ``FloatingPointError`` naming
-        its strike.
+        its route and strike.
+
+        ``payoff_strategy`` is one route (1-D result) or a sequence of
+        routes (one row per route).  Asked together, ``forward`` and
+        ``classic`` share each strike's Si/Ein terms at z = ln(K/F)
+        (``_put_si_ein``), with the same prices as asked one by one.
         """
-        if payoff_strategy not in PAYOFF_STRATEGIES:
-            raise ValueError(f"unknown payoff strategy '{payoff_strategy}' "
-                             f"(choose from {PAYOFF_STRATEGIES})")
+        routes = ((payoff_strategy,) if isinstance(payoff_strategy, str)
+                  else tuple(payoff_strategy))
+        for route in routes:
+            if route not in PAYOFF_STRATEGIES:
+                raise ValueError(f"unknown payoff strategy '{route}' "
+                                 f"(choose from {PAYOFF_STRATEGIES})")
         K = _check_strikes(strikes)
+        rows = {route: np.zeros(K.shape) for route in routes}
         with np.errstate(over="ignore", invalid="ignore"):
-            if payoff_strategy == "em_fft":
-                prices = self._puts_em_fft(K)
-            else:
-                put = self._put_forward if payoff_strategy == "forward" else self._put_classic
-                prices = np.zeros(K.shape)
+            if "em_fft" in rows:
+                rows["em_fft"] = self._puts_em_fft(K)
+            if rows.keys() - {"em_fft"}:
                 for i in np.flatnonzero(K > 0.0):  # K = 0 stays 0: call(0) = B F exactly
-                    prices[i] = put(float(K[i]))
-        bad = np.flatnonzero(~np.isfinite(prices))
-        if bad.size:
-            raise FloatingPointError(f"the {payoff_strategy} price of strike "
-                                     f"{float(K[bad[0]])!r} is {prices[bad[0]]}")
-        return prices
+                    for route, put in self._put_si_ein(float(K[i]), rows).items():
+                        rows[route][i] = put
+        for route in routes:
+            bad = np.flatnonzero(~np.isfinite(rows[route]))
+            if bad.size:
+                raise FloatingPointError(f"the {route} price of strike "
+                                         f"{float(K[bad[0]])!r} is {rows[route][bad[0]]}")
+        if isinstance(payoff_strategy, str):
+            return rows[payoff_strategy]
+        return np.array([rows[route] for route in routes])
 
     def _puts_em_fft(self, K: np.ndarray) -> np.ndarray:
         """em_fft puts.  The price is linear in the density coefficients, so

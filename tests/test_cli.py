@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from oracles import black76_put
 from swiftpricer import PricingContext, WaveletGrid, model_from_json, reference_put
 import swiftpricer.cli as cli_mod
 import swiftpricer.density as density_mod
+import swiftpricer.payoff as payoff_mod
+import swiftpricer.pricer as pricer_mod
 from swiftpricer.cli import build_parser, cmd_error_sweep, main
 from swiftpricer.pricer import grid_for
 
@@ -196,6 +199,20 @@ class TestPrice:
         code, _, err = run_cli(capsys, "price", "--model", str(doc))
         assert code == 1
         assert "kappa" in err
+
+    @pytest.mark.parametrize("doc", [
+        {"forward": None, "maturity": 1.0, "discount": 1.0, "lognormal": {"vol": 0.2}},
+        {"forward": 1.0, "maturity": 1.0, "discount": 1.0, "heston": 5},
+        [{"forward": 1.0, "maturity": 1.0, "discount": 1.0, "lognormal": {"vol": 0.2}}],
+        {"forward": 1.0, "maturity": 1.0, "discount": 1.0, "lognormal": {"vol": True}},
+    ], ids=["null_forward", "number_block", "array_document", "bool_vol"])
+    def test_mistyped_document_exit_code(self, capsys, tmp_path, doc):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "price", "--model", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_model_flag(self, capsys):
         code, _, err = run_cli(capsys, "price")
@@ -444,7 +461,35 @@ class TestErrorSweep:
         code, out, err = run_cli(capsys, "error-sweep", "--model", heston_short_file)
         assert code == 0, err
         assert len(out.strip().splitlines()) == 41
-        assert sorted(calls) == [("price_puts", "classic"), ("price_puts", "forward")]
+        # one call prices both Si/Ein routes
+        assert calls == [("price_puts", ("classic", "forward"))]
+
+    @pytest.mark.parametrize("model_file", ["lognormal_file", "heston_short_file",
+                                            "heston_heavy_file"])
+    def test_each_ein_point_once(self, capsys, monkeypatch, request, model_file):
+        # the routes still run through their module-level closed forms, and
+        # the sweep evaluates no Ein argument twice
+        calls, ein_args = {"forward": 0, "classic": 0}, []
+
+        def counting(route, real):
+            def wrapper(*args, **kwargs):
+                calls[route] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for route in calls:
+            name = f"payoff_{route}_si_ein"
+            monkeypatch.setattr(pricer_mod, name, counting(route, getattr(pricer_mod, name)))
+        real_ein = payoff_mod.ein
+        monkeypatch.setattr(payoff_mod, "ein", lambda z: ein_args.append(z) or real_ein(z))
+        code, out, err = run_cli(capsys, "error-sweep", "--model",
+                                 request.getfixturevalue(model_file))
+        assert code == 0, err
+        strikes = [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
+        assert len(strikes) == 40 and min(strikes) > 0.0
+        assert calls == {"forward": 40, "classic": 40}
+        points = np.concatenate(ein_args)
+        assert np.unique(points).size == points.size
 
     @pytest.mark.parametrize("strike", ["-1", "nan", "inf"])
     def test_bad_strike_exit_code(self, capsys, lognormal_file, strike):
@@ -483,6 +528,41 @@ class TestParser:
     def test_rejects_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    def test_consecutive_calls_match_lone_calls(self, capsys, lognormal_file,
+                                               heston_short_file):
+        # the parser is built once per process; a call in a sequence, with
+        # an argparse error in between, prints what it prints alone, and no
+        # --strike list carries over to the next call
+        sequence = [
+            ["price", "--model", lognormal_file, "--strike", "90", "--strike", "110"],
+            ["error-sweep", "--model", heston_short_file, "--strike", "1.01"],
+            ["price", "--model", lognormal_file, "--m", "not-an-int"],
+            ["price", "--model", lognormal_file, "--payoff", "em-fft"],
+            ["table1"],
+            ["error-sweep", "--model", heston_short_file, "--strike", "0.98",
+             "--strike", "1.02", "--format", "json"],
+            ["price", "--model", lognormal_file],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            out, err = capsys.readouterr()
+            return code, re.sub(r'"elapsed_seconds": [^,\n]*', '"elapsed_seconds": 0', out), err
+
+        alone = []
+        for argv in sequence:
+            cli_mod._parser.cache_clear()
+            alone.append(outcome(argv))
+        cli_mod._parser.cache_clear()
+        assert [outcome(argv) for argv in sequence] == alone
+        assert cli_mod._parser.cache_info().misses == 1
+        assert alone[2][0] == ("exit", 2)
+        # the last price has no --strike: one result, at the forward
+        assert json.loads(alone[-1][1])["strike"] == 100.0
 
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "t1.csv"

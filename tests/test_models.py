@@ -226,6 +226,34 @@ class TestModelIngestion:
                              "heston": {"v0": 0.1, "kappa": 1.0, "theta": 0.1,
                                         "sigma": 1.0}})
 
+    @pytest.mark.parametrize("doc, match", [
+        ([], "model document must be a JSON object, got array"),
+        ("model", "model document must be a JSON object, got string"),
+        ({"forward": None, "maturity": 1.0, "discount": 1.0, "lognormal": {"vol": 0.2}},
+         "'forward' must be a number, got null"),
+        ({"forward": 1.0, "maturity": [1.0], "discount": 1.0, "lognormal": {"vol": 0.2}},
+         "'maturity' must be a number, got array"),
+        ({"forward": 1.0, "maturity": 1.0, "discount": 1.0, "heston": 5},
+         "heston block must be a JSON object, got number"),
+        ({"forward": 1.0, "maturity": 1.0, "discount": 1.0, "lognormal": None},
+         "lognormal block must be a JSON object, got null"),
+        ({"forward": 1.0, "maturity": 1.0, "discount": 1.0, "lognormal": {"vol": True}},
+         "'vol' must be a number, got boolean"),
+        ({"forward": 1.0, "maturity": 1.0, "discount": 1.0,
+          "heston": {"v0": 0.1, "kappa": 1.0, "theta": 0.1, "sigma": {}, "rho": 0.0}},
+         "'sigma' must be a number, got object"),
+        ({"forward": 10**400, "maturity": 1.0, "discount": 1.0, "lognormal": {"vol": 0.2}},
+         "'forward' is out of the float range"),
+    ])
+    def test_mistyped_document(self, doc, match):
+        with pytest.raises(ValueError, match=match):
+            model_from_dict(doc)
+
+    def test_integer_values_accepted(self):
+        model = model_from_dict({"forward": 100, "maturity": 1, "discount": 1,
+                                 "lognormal": {"vol": 1}})
+        assert (model.forward, model.dynamics.vol) == (100.0, 1.0)
+
     def test_missing_dynamics_block(self):
         with pytest.raises(ValueError, match="heston|lognormal"):
             model_from_dict({"forward": 1.0, "maturity": 1.0, "discount": 1.0})

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from swiftpricer import (PayoffJob, em_correction_D, payoff_classic_si_ein,
                          payoff_classic_simpson, payoff_classic_vieta,
                          payoff_fft_euler_maclaurin, payoff_forward_si_ein)
-from swiftpricer.payoff import _trig_moments_arrays
+from swiftpricer.payoff import _end_terms, _trig_moments_arrays
 
 # accuracy-table anchors for (K=1, m=6, k=-1, a=-1)
 TABLE_CLOSED = 0.0020420954069492
@@ -112,6 +112,24 @@ class TestForwardSiEin:
         assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
         empty = payoff_forward_si_ein(np.exp(-0.5), 1.0, 6, ks, -0.5)
         assert np.array_equal(empty, np.zeros(ks.shape))
+
+    @pytest.mark.parametrize("K", [0.93, 1.0, 1.2])
+    def test_z_end_terms_serve_both_windows(self, K):
+        # the classic 0-end at k - 2^m z is t = pi(0 - (k - 2^m z)), the same
+        # floats as the forward z-end t = pi(2^m z - k): handing one set of
+        # terms to both forms changes no bit
+        m, a, F = 8, -0.2815, 1.0
+        ks = np.arange(-80, 200)
+        z = np.log(K / F)
+        z_terms = _end_terms(m, ks, z)
+        assert np.array_equal(
+            payoff_forward_si_ein(K, F, m, ks, a, z_terms=z_terms),
+            payoff_forward_si_ein(K, F, m, ks, a))
+        window = slice(30, 250)
+        shifted = ks[window] - 2.0**m * z
+        assert np.array_equal(
+            payoff_classic_si_ein(K, m, shifted, a, tuple(t[window] for t in z_terms)),
+            payoff_classic_si_ein(K, m, shifted, a))
 
     @pytest.mark.parametrize("K,F,m,k,a", [
         (0.8, 1.0, 5, -7, -1.0), (1.5, 1.0, 6, 40, -0.5),

@@ -381,6 +381,32 @@ class TestSiEinRoutes:
         assert got.tolist() == [oracle(ctx, K) for K in strikes.tolist()]
         assert got[0] == 0.0
 
+    @pytest.mark.parametrize("model", REFERENCE_MODELS,
+                             ids=["lognormal", "heston_short", "heston_heavy"])
+    def test_combined_call_matches_single_routes(self, model):
+        # one row per route, each equal to that route asked alone
+        a, b = truncation_interval(cumulants(model), 12.0)
+        rng = np.random.default_rng(20213)
+        z = np.concatenate([rng.uniform(1.5 * a, 1.5 * b, 30), [0.0, 1.2 * a, 1.2 * b]])
+        assert np.sum(z <= a) >= 2 and np.sum(z > b) >= 2
+        strikes = np.concatenate([[0.0], model.forward * np.exp(z)])
+        ctx = PricingContext(model, grid_for(model, m=8, L=12.0, strikes=strikes))
+        single = {route: ctx.price_puts(strikes, route).tolist()
+                  for route in ("classic", "forward")}
+        both = ctx.price_puts(strikes, ("classic", "forward"))
+        assert both.shape == (2, strikes.size)
+        assert both.tolist() == [single["classic"], single["forward"]]
+        assert ctx.price_puts(strikes, ["forward", "classic"]).tolist() == [
+            single["forward"], single["classic"]]
+
+    def test_combined_call_refusals(self, heston_short):
+        grid = WaveletGrid(m=8, k1=-80, k2=80, J=9, N=256, a=-0.2815, b=0.2810)
+        ctx = PricingContext(heston_short, grid)
+        with pytest.raises(ValueError, match="not covered"):
+            ctx.price_puts([1.0, 1.3], ("classic", "forward"))
+        with pytest.raises(ValueError, match="unknown payoff strategy 'cosine'"):
+            ctx.price_puts([1.0], ("forward", "cosine"))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_price_refused(self, heston_short):
         # b ~ 703 at m = 1: e^{k/2^m - z} overflows and V turns NaN
@@ -389,6 +415,8 @@ class TestSiEinRoutes:
         assert np.isfinite(ctx.price_puts([1.0], "classic")).all()
         with pytest.raises(FloatingPointError, match=r"forward price of strike 1\.0 "):
             ctx.price_puts([0.0, 1.0], "forward")
+        with pytest.raises(FloatingPointError, match=r"forward price of strike 1\.0 "):
+            ctx.price_puts([0.0, 1.0], ("classic", "forward"))
 
 
 class TestClassicRoute:
