@@ -22,8 +22,9 @@ from .models import HestonParams, ModelSpec, cumulants, model_from_json
 from .payoff import (PayoffJob, payoff_classic_si_ein, payoff_classic_simpson,
                      payoff_classic_vieta, payoff_fft_euler_maclaurin,
                      payoff_forward_si_ein)
-from .pricer import (FILON_TOL, GridSelectionError, PricingContext,
-                     ReferenceError, grid_for, reference_put, truncation_interval)
+from .pricer import (DENSITY_STRATEGIES, FILON_TOL, GridSelectionError,
+                     PricingContext, ReferenceError, grid_for, reference_put,
+                     truncation_interval)
 
 # The two Heston experiment configurations used by the built-in tables.
 # The quoted-price tables pair the short-maturity dynamics with F = 1 and
@@ -133,7 +134,7 @@ def cmd_price_table(args) -> int:
 
 def cmd_density_table(args) -> int:
     model = model_from_json(args.model)
-    grid = grid_for(model, args.m, args.J, args.N, args.L, args.mass_tol)
+    grid = grid_for(model, args.m, args.J, L=args.L, mass_tol=args.mass_tol)
     job = DensityJob(model, grid.m, grid.J, grid.k1, grid.k2)
     mid = density_midpoint_fft(job)
     trap = density_trapezoidal_fft(job)
@@ -147,6 +148,8 @@ def cmd_density_table(args) -> int:
 
 def _median_seconds(fn, reps: int) -> float:
     """Median wall time of ``reps`` calls of ``fn``."""
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     times = []
     for _ in range(reps):
         t0 = time.perf_counter()
@@ -155,17 +158,20 @@ def _median_seconds(fn, reps: int) -> float:
     return statistics.median(times)
 
 
-def cmd_init_table(args) -> int:
-    model = model_from_json(args.model)
-    grid = grid_for(model, args.m, args.J, args.N, args.L, args.mass_tol)
-    reps = max(1, args.reps)
+def _density_timings(model, grid, reps: int):
+    """(variant, cf_evals, median seconds) of the trapezoidal FFT and of Filon."""
     job = DensityJob(model, grid.m, grid.J, grid.k1, grid.k2)
     t_trap = _median_seconds(lambda: density_trapezoidal_fft(job), reps)
     evals = []
     t_fil = _median_seconds(lambda: evals.append(density_filon(
         model, grid.m, grid.k1, grid.k2, tol=FILON_TOL)[1]), reps)
-    rows = [("trapezoidal_fft", 2 ** (grid.J - 1), t_trap * 1e6),
-            ("filon", evals[-1], t_fil * 1e6)]
+    return [("trapezoidal_fft", 2 ** (grid.J - 1), t_trap), ("filon", evals[-1], t_fil)]
+
+
+def cmd_init_table(args) -> int:
+    model = model_from_json(args.model)
+    grid = grid_for(model, args.m, args.J, L=args.L, mass_tol=args.mass_tol)
+    rows = [(v, evals, t * 1e6) for v, evals, t in _density_timings(model, grid, args.reps)]
     _emit(rows, ("method", "cf_evals", "median_microseconds"), set(), args)
     return 0
 
@@ -182,7 +188,7 @@ def cmd_error_sweep(args) -> int:
             strikes = model.forward * np.linspace(np.exp(0.25 * a), np.exp(b) * (1 - 1e-9), 40)
         if not np.isfinite(strikes).all():
             raise ValueError(f"L = {L}: the default strikes F e^(a/4)..F e^b overflow")
-    grid = grid_for(model, m, args.J, args.N, L, args.mass_tol, strikes)
+    grid = grid_for(model, m, args.J, L=L, strikes=strikes)
     ctx = PricingContext(model, grid, args.density)
     # one pass prices both Si/Ein routes, sharing each strike's z-end terms
     columns = (*ctx.price_puts(strikes, ("classic", "forward")),
@@ -200,68 +206,65 @@ def cmd_error_sweep(args) -> int:
 def cmd_bench(args) -> int:
     model = model_from_json(args.model)
     grid = grid_for(model, args.m, args.J, args.N, args.L, args.mass_tol)
-    reps = max(1, args.reps)
+    reps, n_k = args.reps, grid.k2 - grid.k1
     warn = "single-sample" if reps == 1 else ""
-    rows = []
-
     job = PayoffJob(K=model.forward, F=model.forward, m=grid.m, a=grid.a,
                     b=grid.b, k1=grid.k1, k2=grid.k2, N=grid.N)
-
     t_fft = _median_seconds(lambda: payoff_fft_euler_maclaurin(job), reps)
-    rows.append(("payoff", "em_fft", grid.k2 - grid.k1, t_fft, "", warn))
+    rows = [("payoff", "em_fft", n_k, t_fft, "", warn)]
     ks = np.arange(grid.k1, grid.k2)
     t_direct = _median_seconds(lambda: payoff_forward_si_ein(
         model.forward, model.forward, grid.m, ks, grid.a), reps)
-    rows.append(("payoff", "si_ein_per_k", grid.k2 - grid.k1, t_direct, "", warn))
-
-    djob = DensityJob(model, grid.m, grid.J, grid.k1, grid.k2)
-    t_trap = _median_seconds(lambda: density_trapezoidal_fft(djob), reps)
-    rows.append(("density", "trapezoidal_fft", grid.k2 - grid.k1, t_trap,
-                 2 ** (grid.J - 1), warn))
-    fil_evals = []
-    t_fil = _median_seconds(lambda: fil_evals.append(density_filon(
-        model, grid.m, grid.k1, grid.k2, tol=FILON_TOL)[1]), reps)
-    rows.append(("density", "filon", grid.k2 - grid.k1, t_fil, fil_evals[-1], warn))
-
+    rows.append(("payoff", "si_ein_per_k", n_k, t_direct, "", warn))
+    rows += [("density", variant, n_k, t, evals, warn)
+             for variant, evals, t in _density_timings(model, grid, reps)]
     ctx = PricingContext(model, grid, "trapezoidal")
     t_price = _median_seconds(lambda: ctx.price_put(model.forward, "em_fft"), reps)
-    rows.append(("pricing_warm_density", "em_fft", grid.k2 - grid.k1, t_price, "", warn))
+    rows.append(("pricing_warm_density", "em_fft", n_k, t_price, "", warn))
     _emit(rows, ("task", "variant", "k_count", "median_seconds", "cf_evals",
                  "warning"), set(), args)
     return 0
 
 
+# Every option, and for each command the options that can change its output.
+OPTIONS = {
+    "model": dict(required=True, help="path to a JSON model file"),
+    "strike": dict(type=float, action="append", help="strike (repeatable)"),
+    "m": dict(type=int, help="wavelet scale"),
+    "J": dict(type=int, help="density resolution exponent"),
+    "N": dict(type=int, help="payoff FFT size"),
+    "L": dict(type=float, help="cumulant truncation level"),
+    "mass-tol": dict(type=float, default=1e-8),
+    "density": dict(choices=DENSITY_STRATEGIES, default="trapezoidal"),
+    "payoff": dict(choices=("classic", "forward", "em-fft"), default="forward"),
+    "out": dict(help="output path (default: stdout)"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "reps": dict(type=int, default=3),
+}
+COMMANDS = {
+    "price": (cmd_price, "model strike m J N L mass-tol density payoff out"),
+    "table1": (cmd_table1, "out format"),
+    "price-table": (cmd_price_table, "payoff out format"),
+    "density-table": (cmd_density_table, "model m J L mass-tol out format"),
+    "init-table": (cmd_init_table, "model m J L mass-tol reps out format"),
+    "error-sweep": (cmd_error_sweep, "model strike m J L density out format"),
+    "bench": (cmd_bench, "model m J N L mass-tol reps out format"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1 through main
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", help="path to a JSON model file")
-    common.add_argument("--strike", type=float, action="append",
-                        help="strike (repeatable)")
-    common.add_argument("--m", type=int, default=None, help="wavelet scale")
-    common.add_argument("--J", type=int, default=None, help="density resolution exponent")
-    common.add_argument("--N", type=int, default=None, help="payoff FFT size")
-    common.add_argument("--L", type=float, default=None, help="cumulant truncation level")
-    common.add_argument("--mass-tol", type=float, default=1e-8, dest="mass_tol")
-    common.add_argument("--density", choices=("midpoint", "trapezoidal", "filon"),
-                        default="trapezoidal")
-    common.add_argument("--payoff", choices=("classic", "forward", "em-fft"),
-                        default="forward")
-    common.add_argument("--out", default=None, help="output path (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--reps", type=int, default=3)
-    ap = argparse.ArgumentParser(prog="swiftpricer",
-                                 description="Shannon-wavelet option pricing harness")
+    ap = _Parser(prog="swiftpricer", description="Shannon-wavelet option pricing harness")
     sub = ap.add_subparsers(dest="command", required=True)
-    commands = {
-        "price": cmd_price,
-        "table1": cmd_table1,
-        "price-table": cmd_price_table,
-        "density-table": cmd_density_table,
-        "init-table": cmd_init_table,
-        "error-sweep": cmd_error_sweep,
-        "bench": cmd_bench,
-    }
-    for name, fn in commands.items():
-        sub.add_parser(name, parents=[common]).set_defaults(fn=fn)
+    for name, (fn, options) in COMMANDS.items():
+        parser = sub.add_parser(name)
+        parser.set_defaults(fn=fn)
+        for option in options.split():
+            parser.add_argument(f"--{option}", **OPTIONS[option])
     return ap
 
 
@@ -270,13 +273,10 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    args.payoff = args.payoff.replace("-", "_")
-    needs_model = args.fn in (cmd_price, cmd_density_table, cmd_init_table,
-                              cmd_error_sweep, cmd_bench)
     try:
-        if needs_model and not args.model:
-            raise ValueError(f"{args.command} requires --model PATH")
+        args = _parser().parse_args(argv)
+        if "payoff" in args:
+            args.payoff = args.payoff.replace("-", "_")
         return args.fn(args)
     except json.JSONDecodeError as exc:
         print(f"error: cannot parse model file: {exc}", file=sys.stderr)

@@ -442,14 +442,17 @@ def grid_for(model: ModelSpec, m: int | None = None, J: int | None = None,
       each side; J defaults to max(10, log2(k2 - k1) + 2).
 
     ``N`` rounds up to a power of two.  A ``J`` that would be ignored, an
-    ``m``, ``J`` or ``N`` below 1, an ``N`` above 2^17 or a strike window
-    that needs J > 17 (auto_grid's largest density job), a ``J`` above 19
-    (the largest the strike-window default picks), and grid bounds that
-    are not finite floats raise ``ValueError``."""
+    ``m``, ``J`` or ``N`` below 1, a ``mass_tol`` outside (0, 1) on any
+    grid, an ``N`` above 2^17 or a strike window that needs J > 17
+    (auto_grid's largest density job), a ``J`` above 19 (the largest the
+    strike-window default picks), and grid bounds that are not finite
+    floats raise ``ValueError``."""
     for name, value, cap in (("m", m, math.inf), ("J", J, _MAX_J + 2),
                              ("N", N, 1 << _MAX_J)):
         if value is not None and not 1 <= value <= cap:
             raise ValueError(f"{name} must be in [1, {cap}], got {value}")
+    if not 0 < mass_tol < 1:
+        raise ValueError(f"mass_tol must be in (0, 1), got {mass_tol}")
     if J is not None and m is None and strikes is None:
         raise ValueError(f"J = {J} needs m: an auto-selected grid chooses its own J")
     if strikes is None and m is not None and J is not None:

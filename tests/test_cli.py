@@ -255,13 +255,20 @@ class TestGridOptions:
         ("price", ["--m", "6", "--J", "0"], "J"),
         ("price", ["--m", "0"], "m"),
         ("error-sweep", ["--J", "0"], "J"),
-        ("density-table", ["--m", "6", "--J", "8", "--N", "0"], "N"),
+        # density-table takes no --N: its output does not depend on it
+        ("density-table", ["--m", "6", "--J", "8", "--N", "0"], "unrecognized"),
         # an N that is not a power of two rounds up on every grid
         ("price", ["--N", "100"], 128),
         ("price", ["--m", "6", "--J", "8", "--N", "100"], 128),
         # J without m is used where the strikes set the k-range
         ("price", ["--payoff", "classic", "--J", "12"], 128),
         ("error-sweep", ["--J", "12", "--strike", "100"], None),
+        # mass_tol is checked on every grid, also where auto_grid never reads it
+        ("density-table", ["--m", "6", "--J", "8", "--mass-tol", "5"], "mass_tol"),
+        ("price", ["--m", "6", "--J", "8", "--mass-tol", "-1"], "mass_tol"),
+        ("price", ["--mass-tol", "nan"], "mass_tol"),
+        ("init-table", ["--mass-tol", "1"], "mass_tol"),
+        ("bench", ["--m", "6", "--J", "8", "--mass-tol", "0"], "mass_tol"),
     ])
     def test_refused_or_rounded(self, capsys, lognormal_file, command, extra, expect):
         code, out, err = run_cli(capsys, command, "--model", lognormal_file, *extra)
@@ -524,15 +531,100 @@ class TestBench:
         assert all(r[5] == "single-sample" for r in rows)
 
 
+# The options each command accepts: those that can change its output.
+ACCEPTED = {
+    "price": {"model", "strike", "m", "J", "N", "L", "mass-tol", "density", "payoff", "out"},
+    "table1": {"out", "format"},
+    "price-table": {"payoff", "out", "format"},
+    "density-table": {"model", "m", "J", "L", "mass-tol", "out", "format"},
+    "init-table": {"model", "m", "J", "L", "mass-tol", "reps", "out", "format"},
+    "error-sweep": {"model", "strike", "m", "J", "L", "density", "out", "format"},
+    "bench": {"model", "m", "J", "N", "L", "mass-tol", "reps", "out", "format"},
+}
+OPTION_VALUES = {"model": None, "strike": "100", "m": "6", "J": "8", "N": "64", "L": "10",
+                 "mass-tol": "1e-8", "density": "filon", "payoff": "em-fft",
+                 "out": "out.csv", "format": "json", "reps": "1"}
+PAIRS = [(command, option) for command in ACCEPTED for option in OPTION_VALUES]
+
+
+def single_error_line(err):
+    return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestParser:
-    def test_rejects_unknown_command(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["frobnicate"])
+    def test_option_table(self):
+        assert sum(map(len, ACCEPTED.values())) == 47
+        assert set(cli_mod.COMMANDS) == set(ACCEPTED)
+        assert set(cli_mod.OPTIONS) == set(OPTION_VALUES)
+
+    @pytest.mark.parametrize("command, option",
+                             [pair for pair in PAIRS if pair[1] in ACCEPTED[pair[0]]])
+    def test_accepted_option(self, lognormal_file, command, option):
+        model = [] if "model" not in ACCEPTED[command] else ["--model", lognormal_file]
+        value = OPTION_VALUES[option] or lognormal_file
+        args = build_parser().parse_args([command, *model, f"--{option}", value])
+        assert args.command == command and option.replace("-", "_") in args
+
+    @pytest.mark.parametrize("command, option",
+                             [pair for pair in PAIRS if pair[1] not in ACCEPTED[pair[0]]])
+    def test_refused_option(self, capsys, lognormal_file, command, option):
+        model = [] if "model" not in ACCEPTED[command] else ["--model", lognormal_file]
+        value = OPTION_VALUES[option] or lognormal_file
+        code, out, err = run_cli(capsys, command, *model, f"--{option}", value)
+        assert code == 1
+        assert out == ""
+        assert single_error_line(err) and f"--{option}" in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["price", "--m", "abc"], "--m"),                          # bad int
+        (["price", "--payoff", "foo"], "em-fft"),                  # bad choice
+        (["error-sweep", "--density", "vieta"], "trapezoidal"),
+        (["bench", "--reps", "2.5"], "--reps"),
+    ])
+    def test_usage_error_exit_code(self, capsys, lognormal_file, argv, named):
+        code, out, err = run_cli(capsys, *argv, "--model", lognormal_file)
+        assert code == 1
+        assert out == ""
+        assert single_error_line(err) and named in err
+
+    @pytest.mark.parametrize("command", ["init-table", "bench"])
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_reps_below_one_refused(self, capsys, heston_short_file, command, reps):
+        code, out, err = run_cli(capsys, command, "--model", heston_short_file,
+                                 "--m", "6", "--J", "7", "--reps", reps)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: reps must be at least 1, got {reps}\n"
+
+    @pytest.mark.parametrize("command", sorted(c for c in ACCEPTED if "model" in ACCEPTED[c]))
+    def test_missing_model_exit_code(self, capsys, command):
+        code, out, err = run_cli(capsys, command)
+        assert code == 1
+        assert out == ""
+        assert single_error_line(err) and "--model" in err
+
+    def test_rejects_unknown_command(self, capsys):
+        code, out, err = run_cli(capsys, "frobnicate")
+        assert code == 1
+        assert out == ""
+        assert single_error_line(err) and "frobnicate" in err
+
+    def test_rejects_missing_command(self, capsys):
+        code, out, err = run_cli(capsys)
+        assert code == 1
+        assert out == ""
+        assert single_error_line(err) and "command" in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["price", "--help"])
+        assert exc.value.code == 0
+        assert "--mass-tol" in capsys.readouterr().out
 
     def test_consecutive_calls_match_lone_calls(self, capsys, lognormal_file,
                                                heston_short_file):
         # the parser is built once per process; a call in a sequence, with
-        # an argparse error in between, prints what it prints alone, and no
+        # a usage error in between, prints what it prints alone, and no
         # --strike list carries over to the next call
         sequence = [
             ["price", "--model", lognormal_file, "--strike", "90", "--strike", "110"],
@@ -546,10 +638,7 @@ class TestParser:
         ]
 
         def outcome(argv):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = ("exit", exc.code)
+            code = main(argv)
             out, err = capsys.readouterr()
             return code, re.sub(r'"elapsed_seconds": [^,\n]*', '"elapsed_seconds": 0', out), err
 
@@ -560,7 +649,7 @@ class TestParser:
         cli_mod._parser.cache_clear()
         assert [outcome(argv) for argv in sequence] == alone
         assert cli_mod._parser.cache_info().misses == 1
-        assert alone[2][0] == ("exit", 2)
+        assert alone[2][0] == 1
         # the last price has no --strike: one result, at the forward
         assert json.loads(alone[-1][1])["strike"] == 100.0
 
