@@ -118,15 +118,16 @@ def _coefficients(k1: int, values: np.ndarray) -> CoefficientArray:
 
 
 def _density_fft(job: DensityJob, offset: int, fhat=None) -> CoefficientArray:
-    """c_{m,k} from one inverse DFT of size n = 2^J over the nodes
-    t_j = (2j + offset)/(2n), j < 2^{J-1}: offset 1 is the midpoint rule,
-    offset 0 the trapezoidal rule (half weight on the first node).
+    """c_{m,k} from one inverse DFT over the nodes t_j = (2j + offset)/(2n),
+    n = 2^J, j < 2^{J-1}: offset 0 is the trapezoidal rule (half weight on
+    the first node), offset 1 the midpoint rule.
 
-    Loading: f_j = fhat(2^m pi (2j+offset)/n), zero beyond j = 2^{J-1};
-    c_k is read at k mod n, the sum's period, so no load phase shifts it.
-    The midpoint recovery applies the half-step phase e^{i pi (k mod 2n)/n}.
-    ``fhat`` holds the f_j's cf values when the caller has them already; it
-    is not modified.
+    Loading: f_j = fhat(2^m pi (2j+offset)/n) at slot j of a transform of
+    size n, or, for the midpoint rule, whose nodes are the odd nodes of the
+    next trapezoidal level, at slot 2j+1 of a transform of size 2n; every
+    other slot is zero.  c_k is read at k mod the transform size, the sum's
+    period, so no phase shifts it.  ``fhat`` holds the f_j's cf values when
+    the caller has them already; it is not modified.
     """
     n = 1 << job.J
     nh = n >> 1
@@ -135,19 +136,16 @@ def _density_fft(job: DensityJob, offset: int, fhat=None) -> CoefficientArray:
     elif np.shape(fhat) != (nh,):
         raise ValueError(f"fhat must hold the 2^(J-1) = {nh} node values, "
                          f"got shape {np.shape(fhat)}")
-    buf = np.zeros(n, dtype=complex)
-    buf[:nh] = fhat
+    buf = np.zeros(n << offset, dtype=complex)
+    buf[offset::1 + offset][:nh] = fhat
     if offset == 0:
         buf[0] *= 0.5
-    k = np.arange(job.k1, job.k2)
-    g = inverse_dft(buf)[k % n]
-    if offset:
-        g *= np.exp(1j * np.pi * (k % (2 * n)) / n)
+    g = inverse_dft(buf)[np.arange(job.k1, job.k2) % buf.size]
     return _coefficients(job.k1, 2.0 ** (job.m / 2.0) / nh * g.real)
 
 
 def density_midpoint_fft(job: DensityJob) -> CoefficientArray:
-    """c_{m,k} by the midpoint rule, one inverse DFT of size 2^J."""
+    """c_{m,k} by the midpoint rule, one inverse DFT of size 2^{J+1}."""
     return _density_fft(job, 1)
 
 

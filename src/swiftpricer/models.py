@@ -215,9 +215,9 @@ _JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
 def _fields(block, keys, name: str) -> dict:
     """The number at each key of the JSON object ``block``, as floats.
 
-    A block that is not an object, a missing key, a null, boolean, array or
-    object value, and an integer past the float range raise ``ValueError``
-    naming the block and key."""
+    A block that is not an object, a missing key, a value that is not a
+    JSON number (string, null, boolean, array or object), and an integer
+    past the float range raise ``ValueError`` naming the block and key."""
     if not isinstance(block, dict):
         raise ValueError(f"{name} must be a JSON object, "
                          f"got {_JSON_TYPES.get(type(block), 'number')}")
@@ -226,7 +226,7 @@ def _fields(block, keys, name: str) -> dict:
         if key not in block:
             raise ValueError(f"{name} missing required key '{key}'")
         kind = _JSON_TYPES.get(type(block[key]), "number")
-        if kind not in ("number", "string"):
+        if kind != "number":
             raise ValueError(f"{name} key '{key}' must be a number, got {kind}")
         try:
             out[key] = float(block[key])
@@ -243,6 +243,8 @@ def model_from_dict(doc: dict) -> ModelSpec:
     or ... "lognormal": {"vol": ..}.  Anything else raises ``ValueError``.
     """
     spec = _fields(doc, ("forward", "maturity", "discount"), "model document")
+    if "heston" in doc and "lognormal" in doc:
+        raise ValueError("model document has both a 'heston' and a 'lognormal' block")
     if "heston" in doc:
         dyn = HestonParams(**_fields(doc["heston"], ("v0", "kappa", "theta", "sigma", "rho"),
                                      "heston block"))

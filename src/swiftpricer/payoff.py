@@ -9,11 +9,11 @@ Three routes:
   * midpoint cosine sum with the second Euler-Maclaurin endpoint
     correction, evaluated for all k at once with one inverse DFT of size 2N.
 
-The two closed forms are one integral on two windows (``_si_ein``).
+The two closed forms are one integral on two windows (``_si_ein``); the
+cosine sums take their moments from one complex closed form (``_moment``).
 
 All sign conventions below were fixed against adaptive quadrature of the
-defining integrals (the closed forms and the correction term are easy to
-transcribe with a stray sign; the quadrature oracle is the arbiter).
+defining integrals, the arbiter of every closed form here.
 """
 
 from __future__ import annotations
@@ -93,16 +93,14 @@ def payoff_forward_si_ein(K: float, F: float, m: int, k, a: float, a_terms=None,
 def payoff_classic_vieta(K: float, m: int, k: int, a: float, J: int) -> float:
     """The 2^{J-1}-term cosine-expansion value of the classic integral.
 
-    Each cosine integrates against (1 - e^y) in closed form
-    (``_trig_moments_arrays`` on [a, 0]); kept as the slowly-converging
-    reference row of the accuracy table.
+    Each cosine integrates against (1 - e^y) in closed form, as
+    Re[M e^{-iwk}] with ``_moment`` M on [a, 0]; kept as the
+    slowly-converging reference row of the accuracy table.
     """
     n = 1 << (J - 1)
     j = np.arange(1, n + 1)
     w = (2 * j - 1) * np.pi / (1 << J)
-    ic, is_ = _trig_moments_arrays(w * 2.0**m, a, 0.0)
-    s = w * k
-    total = float(np.sum(ic * np.cos(s) + is_ * np.sin(s)))
+    total = float(np.sum((_moment(w * 2.0**m, a, 0.0) * np.exp(-1j * w * k)).real))
     return K * 2.0 ** (m / 2.0) * total / n
 
 
@@ -124,53 +122,31 @@ def payoff_classic_simpson(K: float, m: int, k: int, a: float, n_points: int) ->
     return float(3.0 * h / 8.0 * np.dot(w, f))
 
 
-def _trig_moments_arrays(q, a: float, z):
-    """C = int_a^z (e^z - e^y) cos(qy) dy and S, the same with sin(qy), in
-    closed form for frequencies q > 0.
-
-    ``q`` and ``z`` broadcast against each other: a row of frequencies and a
-    column of log-strikes give one row of moments per strike.
+def _moment(q, a: float, z):
+    """M = int_a^z (e^z - e^y) e^{iqy} dy for frequencies q > 0: Re M and
+    Im M are the moments against cos(qy) and sin(qy).  Each end enters as
+    a difference of one expression at z and at a, so M is exactly 0 at
+    z = a.  ``q`` and ``z`` broadcast against each other.
     """
-    ez, ea = np.exp(z), np.exp(a)
-    denom = 1.0 + q * q
-    sz, ca = np.sin(q * z), np.cos(q * a)
-    cz, sa = np.cos(q * z), np.sin(q * a)
-    out_c = ez * (sz - sa) / q - (ez * (cz + q * sz) - ea * (ca + q * sa)) / denom
-    out_s = ez * (ca - cz) / q - (ez * (sz - q * cz) - ea * (sa - q * ca)) / denom
-    return out_c, out_s
+    ez, e_z, e_a = np.exp(z), np.exp(1j * q * z), np.exp(1j * q * a)
+    return ez * (e_z - e_a) / (1j * q) - (ez * e_z - np.exp(a) * e_a) / (1.0 + 1j * q)
 
 
 def em_correction_D(m: int, a: float, z):
     """D(a,z) = int_a^z 2^m y (e^z - e^y) sin(p y) dy with p = pi 2^m.
 
-    ``z`` may be an array of log-strikes; the result has its shape.
-
-    Assembled from antiderivatives (integration by parts) rather than a
-    transcribed expansion:
-      int y sin(py) dy       = sin(py)/p^2 - y cos(py)/p
-      int e^y sin(py) dy     = e^y (sin(py) - p cos(py)) / (1+p^2)
-      int y e^y sin(py) dy   = y Es(y) - (Es(y) - p Ec(y)) / (1+p^2)
+    ``z`` may be an array of log-strikes; the result has its shape.  With
+    Y(w) = int_a^z y e^{wy} dy = [e^{wy} (y/w - 1/w^2)]_a^z, a difference
+    of one expression at z and at a, D = 2^m Im[e^z Y(ip) - Y(1 + ip)].
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     p = np.pi * 2.0**m
-    d = 1.0 + p * p
-
-    def f_ysin(y):
-        return np.sin(p * y) / (p * p) - y * np.cos(p * y) / p
-
-    def e_s(y):
-        return np.exp(y) * (np.sin(p * y) - p * np.cos(p * y)) / d
-
-    def e_c(y):
-        return np.exp(y) * (np.cos(p * y) + p * np.sin(p * y)) / d
-
-    def f_yeysin(y):
-        return y * e_s(y) - (e_s(y) - p * e_c(y)) / d
-
     z = np.asarray(z, dtype=float)
-    ez = np.exp(z)
-    return 2.0**m * (ez * (f_ysin(z) - f_ysin(a)) - (f_yeysin(z) - f_yeysin(a)))
+    w = np.array([1j * p, 1.0 + 1j * p]).reshape((2,) + (1,) * z.ndim)
+    f_z, f_a = (np.exp(w * y) * (y / w - 1.0 / (w * w)) for y in (z, a))
+    y_ip, y_1ip = f_z - f_a
+    return 2.0**m * (np.exp(z) * y_ip - y_1ip).imag
 
 
 @dataclass(frozen=True)
@@ -210,7 +186,7 @@ def payoff_fft_euler_maclaurin(job: PayoffJob, corrected: bool = True) -> Coeffi
                                                      + S_{n+1/2} sin(pi k (2n+1)/(2N)) ]
               - pi (-1)^k / (24 N^2) * K e^{-z} 2^{m/2} * (D - k S_N)
 
-    The sum is ``cos_sin_sum`` of the half-integer moments (one inverse DFT
+    The sum is ``cos_sin_sum`` of the moments C + iS = ``_moment`` (one inverse DFT
     of size 2N); the correction costs O(k2-k1) extra multiplications.  Its
     sign follows the midpoint Euler-Maclaurin formula int f = midpoint + h^2/24 [f'(1)-f'(0)]
     applied to f(w) = cos(pi x w): f'(1) - f'(0) = -pi x sin(pi x), hence the
@@ -225,13 +201,13 @@ def payoff_fft_euler_maclaurin(job: PayoffJob, corrected: bool = True) -> Coeffi
         return CoefficientArray(job.k1, np.zeros(len(ks)))
     p = np.pi * 2.0**job.m
     n_half = (np.arange(job.N) + 0.5) / job.N
-    c_n, s_n = _trig_moments_arrays(n_half * p, job.a, z)
+    mom = _moment(n_half * p, job.a, z)
     scale = job.K * np.exp(-z) * 2.0 ** (job.m / 2.0)
-    vals = scale / job.N * cos_sin_sum(c_n, s_n, ks)
+    vals = scale / job.N * cos_sin_sum(mom.real, mom.imag, ks)
     if corrected:
-        _, s_cap = _trig_moments_arrays(np.array([p]), job.a, z)
+        s_cap = _moment(p, job.a, z).imag
         d_cap = em_correction_D(job.m, job.a, z)
         sign = 1.0 - 2.0 * (np.abs(ks) & 1)  # (-1)^k
-        vals = vals - np.pi * sign / (24.0 * job.N**2) * scale * (d_cap - ks * s_cap[0])
+        vals = vals - np.pi * sign / (24.0 * job.N**2) * scale * (d_cap - ks * s_cap)
     return CoefficientArray(job.k1, vals)
 

@@ -15,7 +15,7 @@ from .density import (_BLOCK_ELEMENTS, CoefficientArray, DensityJob,
                       _trapezoidal_fhat, density_filon, density_midpoint_fft,
                       density_trapezoidal_fft)
 from .models import Cumulants, ModelSpec, char_fn, cumulants
-from .payoff import (_end_terms, _trig_moments_arrays, em_correction_D,
+from .payoff import (_end_terms, _moment, em_correction_D,
                      payoff_classic_si_ein, payoff_forward_si_ein)
 
 DENSITY_STRATEGIES = ("midpoint", "trapezoidal", "filon")
@@ -351,7 +351,7 @@ class PricingContext:
             e_lo = _cis(np.outer(np.arange(s), t))
             e_hi = _cis(np.outer(np.arange(0, g.N, s), t))
             waves = (_cis(0.5 * t) * np.sum(e_hi * (W @ e_lo), axis=0)).real
-            _, s_cap = _trig_moments_arrays(p, g.a, zb)
+            s_cap = _moment(p, g.a, zb).imag
             d_cap = em_correction_D(g.m, g.a, zb)
             sums[idx] = ((np.exp(zb) * (waves + a0) + b0) / g.N
                          - np.pi / (24.0 * g.N**2) * (d_cap * s0 - s_cap * s1))

@@ -205,7 +205,11 @@ class TestPrice:
         {"forward": 1.0, "maturity": 1.0, "discount": 1.0, "heston": 5},
         [{"forward": 1.0, "maturity": 1.0, "discount": 1.0, "lognormal": {"vol": 0.2}}],
         {"forward": 1.0, "maturity": 1.0, "discount": 1.0, "lognormal": {"vol": True}},
-    ], ids=["null_forward", "number_block", "array_document", "bool_vol"])
+        {"forward": 1.0, "maturity": 1.0, "discount": 1.0, "lognormal": {"vol": "0.3"}},
+        {"forward": 1.0, "maturity": 1.0, "discount": 1.0, "lognormal": {"vol": 0.2},
+         "heston": {"v0": 0.1, "kappa": 1.0, "theta": 0.1, "sigma": 1.0, "rho": -0.9}},
+    ], ids=["null_forward", "number_block", "array_document", "bool_vol", "string_vol",
+            "both_blocks"])
     def test_mistyped_document_exit_code(self, capsys, tmp_path, doc):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
@@ -228,6 +232,16 @@ class TestPrice:
         code, _, err = run_cli(capsys, "price", "--model", str(frozen))
         assert code == 2
         assert "numerical" in err.lower()
+
+    def test_search_past_the_widest_window_exit_code(self, capsys, tmp_path):
+        heavy = tmp_path / "heavy_t10.json"
+        heavy.write_text(json.dumps({"forward": 1e6, "maturity": 10.0, "discount": 1.0,
+                                     "heston": {"v0": 0.0225, "kappa": 0.1, "theta": 0.01,
+                                                "sigma": 2.0, "rho": 0.5}}))
+        code, out, err = run_cli(capsys, "price", "--model", str(heavy))
+        assert code == 2
+        assert out == ""
+        assert "achieved mass 0.99984" in err
 
     @pytest.mark.parametrize("grid_args", [[], ["--m", "4", "--J", "8"]])
     @pytest.mark.parametrize("density", ["trapezoidal", "midpoint", "filon"])

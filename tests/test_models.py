@@ -244,6 +244,11 @@ class TestModelIngestion:
          "'sigma' must be a number, got object"),
         ({"forward": 10**400, "maturity": 1.0, "discount": 1.0, "lognormal": {"vol": 0.2}},
          "'forward' is out of the float range"),
+        ({"forward": 1.0, "maturity": 1.0, "discount": 1.0, "lognormal": {"vol": "0.3"}},
+         "'vol' must be a number, got string"),
+        ({"forward": 1.0, "maturity": 1.0, "discount": 1.0, "lognormal": {"vol": 0.2},
+          "heston": {"v0": 0.1, "kappa": 1.0, "theta": 0.1, "sigma": 1.0, "rho": -0.9}},
+         "both a 'heston' and a 'lognormal' block"),
     ])
     def test_mistyped_document(self, doc, match):
         with pytest.raises(ValueError, match=match):

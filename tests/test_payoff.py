@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from swiftpricer import (PayoffJob, em_correction_D, payoff_classic_si_ein,
                          payoff_classic_simpson, payoff_classic_vieta,
                          payoff_fft_euler_maclaurin, payoff_forward_si_ein)
-from swiftpricer.payoff import _end_terms, _trig_moments_arrays
+from swiftpricer.payoff import _end_terms, _moment
 
 # accuracy-table anchors for (K=1, m=6, k=-1, a=-1)
 TABLE_CLOSED = 0.0020420954069492
@@ -143,19 +143,19 @@ class TestForwardSiEin:
 
 class TestTrigMoments:
     def test_empty_interval(self):
-        c, s = _trig_moments_arrays(0.25 * np.pi * 2**6, -1.0, -1.0)
-        assert c == 0.0 and s == 0.0
+        mom = _moment(0.25 * np.pi * 2**6, -1.0, -1.0)
+        assert mom.real == 0.0 and mom.imag == 0.0
 
     def test_against_quadrature(self):
         a, z = -1.0, 0.1
         q = 3.0 / 16.0 * np.pi * 64
-        c, s = _trig_moments_arrays(q, a, z)
+        mom = _moment(q, a, z)
         c_ref, _ = quad(lambda y: (np.exp(z) - np.exp(y)) * np.cos(q * y), a, z,
                         epsabs=1e-15, limit=300)
         s_ref, _ = quad(lambda y: (np.exp(z) - np.exp(y)) * np.sin(q * y), a, z,
                         epsabs=1e-15, limit=300)
-        assert c == pytest.approx(c_ref, abs=1e-13)
-        assert s == pytest.approx(s_ref, abs=1e-13)
+        assert mom.real == pytest.approx(c_ref, abs=1e-13)
+        assert mom.imag == pytest.approx(s_ref, abs=1e-13)
 
 
 class TestEmCorrectionD:
@@ -177,7 +177,7 @@ class TestEmCorrectionD:
         ref, _ = quad(lambda y: (2**m * y - k) * (np.exp(z) - np.exp(y))
                       * np.sin(np.pi * (2**m * y - k)),
                       a, z, epsabs=1e-15, limit=2000)
-        _, s_cap = _trig_moments_arrays(p, a, z)
+        s_cap = _moment(p, a, z).imag
         d_cap = em_correction_D(m, a, z)
         assert (-1.0) ** k * (d_cap - k * s_cap) == pytest.approx(ref, abs=1e-12)
 

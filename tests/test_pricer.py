@@ -141,6 +141,12 @@ class TestSelectKRange:
         with pytest.raises(GridSelectionError, match="achieved mass"):
             select_k_range(c, 5, 1e-12)
 
+    @pytest.mark.parametrize("mass_tol", [0.0, 1.0, -1e-3, float("nan")])
+    def test_mass_tol_outside_unit_interval_refused(self, mass_tol):
+        c = density_trapezoidal_fft(DensityJob(LOGNORMAL_02, 5, 6, -4, 4))
+        with pytest.raises(ValueError, match="mass_tol"):
+            select_k_range(c, 5, mass_tol)
+
 
 class TestPricePut:
     def test_empty_support_prices_zero(self, heston_short):
@@ -320,6 +326,11 @@ class TestPricePuts:
                 ctx.price_put(bad, route)
             with pytest.raises(ValueError, match="strike"):
                 ctx.price_call(bad, route)
+
+    def test_two_dimensional_strikes_rejected(self, lognormal):
+        ctx = PricingContext(lognormal, auto_grid(lognormal))
+        with pytest.raises(ValueError, match="1-D sequence"):
+            ctx.price_puts([[90.0, 100.0]])
 
     def test_grid_without_put_coverage_rejected(self, lognormal):
         grid = WaveletGrid(m=5, k1=8, k2=64, J=11, N=64, a=0.25, b=2.0)
@@ -588,6 +599,26 @@ class TestAutoGrid:
             WaveletGrid(m=4, k1=-8, k2=128, J=5, N=32, a=-1.0, b=1.0)
         with pytest.raises(ValueError):
             WaveletGrid(m=4, k1=-8, k2=8, J=5, N=48, a=-1.0, b=1.0)
+        with pytest.raises(ValueError, match="k1 < k2"):
+            WaveletGrid(m=4, k1=8, k2=8, J=5, N=32, a=-1.0, b=1.0)
+        with pytest.raises(ValueError, match="a < b"):
+            WaveletGrid(m=4, k1=-8, k2=8, J=5, N=32, a=1.0, b=1.0)
+
+    def test_window_past_the_widest_refused(self, heston_heavy):
+        # at T = 10 the heavy set keeps 1.6e-4 of its mass outside the
+        # widest window [-2^15, 2^15): the doubling stops there
+        with pytest.raises(GridSelectionError, match="achieved mass 0.99984"):
+            auto_grid(replace(heston_heavy, maturity=10.0))
+
+    def test_grid_for_cumulant_window(self, lognormal):
+        # m and J with L: k covers 2^m times the cumulant window of L
+        grid = grid_for(lognormal, 6, 8, L=5.0)
+        assert (grid.k1, grid.k2, grid.J, grid.N) == (-66, 64, 8, 256)
+        assert (grid.a, grid.b) == (-66 / 64, 1.0)
+
+    def test_grid_for_J_needs_m(self, lognormal):
+        with pytest.raises(ValueError, match="J = 8 needs m"):
+            grid_for(lognormal, J=8)
 
 
 
