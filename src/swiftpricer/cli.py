@@ -26,6 +26,10 @@ from .pricer import (DENSITY_STRATEGIES, FILON_TOL, GridSelectionError,
                      PricingContext, ReferenceError, grid_for, reference_put,
                      truncation_interval)
 
+# The default --mass-tol, and the density mass left out of the classic
+# window above which error-sweep flags a row window_uncovered
+MASS_TOL = 1e-8
+
 # The two Heston experiment configurations used by the built-in tables.
 # The quoted-price tables pair the short-maturity dynamics with F = 1 and
 # the heavy-tail dynamics with F = 1e6; the tabulated strikes are the
@@ -193,9 +197,13 @@ def cmd_error_sweep(args) -> int:
     # one pass prices both Si/Ein routes, sharing each strike's z-end terms
     columns = (*ctx.price_puts(strikes, ("classic", "forward")),
                reference_put(model, strikes))
+    dropped = ctx.classic_dropped_mass(strikes)
     rows = []
-    for K, cls, fwd, ref in zip(strikes, *(col.tolist() for col in columns)):
-        flag = "beyond_truncation" if K > 0 and np.log(K / model.forward) > b else ""
+    for K, cls, fwd, ref, mass in zip(strikes, *(col.tolist() for col in columns), dropped):
+        if K > 0 and np.log(K / model.forward) > b:
+            flag = "beyond_truncation"
+        else:
+            flag = "window_uncovered" if mass > MASS_TOL else ""
         rows.append((K, cls, fwd, ref, cls - ref, fwd - ref, flag))
     _emit(rows, ("strike", "price_classic", "price_forward", "reference",
                  "err_classic", "err_forward", "flag"),
@@ -234,7 +242,7 @@ OPTIONS = {
     "J": dict(type=int, help="density resolution exponent"),
     "N": dict(type=int, help="payoff FFT size"),
     "L": dict(type=float, help="cumulant truncation level"),
-    "mass-tol": dict(type=float, default=1e-8),
+    "mass-tol": dict(type=float, default=MASS_TOL),
     "density": dict(choices=DENSITY_STRATEGIES, default="trapezoidal"),
     "payoff": dict(choices=("classic", "forward", "em-fft"), default="forward"),
     "out": dict(help="output path (default: stdout)"),

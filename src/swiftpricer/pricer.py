@@ -178,6 +178,13 @@ def _cis(theta) -> np.ndarray:
     return out
 
 
+def _classic_window(g: WaveletGrid, z: float) -> tuple[int, int]:
+    """[k1c, k2c): the coefficients the classic route uses at z = ln(K/F),
+    the k-window [2^m(a+z), 2^m(b+z)) moved with the strike and rounded
+    outward for wider coverage."""
+    return int(np.floor(2.0**g.m * (g.a + z))), int(np.ceil(2.0**g.m * (g.b + z))) + 1
+
+
 class PricingContext:
     """Model + grid + density coefficients, computed once and then shared.
 
@@ -223,10 +230,8 @@ class PricingContext:
         if "classic" in routes:
             # strike-centered payoff over the shifted window [a+z, z]: the
             # coefficient index k pairs with the classic formula at offset
-            # k - 2^m z, and the used k-window [2^m(a+z), 2^m(b+z)) moves
-            # with the strike (rounded outward for wider coverage)
-            k1c = int(np.floor(2.0**g.m * (g.a + z)))
-            k2c = int(np.ceil(2.0**g.m * (g.b + z))) + 1
+            # k - 2^m z
+            k1c, k2c = _classic_window(g, z)
             if k1c < g.k1 or k2c > g.k2:
                 raise ValueError(
                     f"classic payoff window [{k1c}, {k2c}) not covered by the "
@@ -236,6 +241,21 @@ class PricingContext:
             V = payoff_classic_si_ein(K, g.m, ks[window] - 2.0**g.m * z, g.a, zero_terms)
             puts["classic"] = float(B * np.dot(self.coeffs.values[window], V))
         return puts
+
+    def classic_dropped_mass(self, strikes) -> np.ndarray:
+        """|2^{-m/2} sum c_k| over the density's k outside each strike's
+        classic window: the Riemann mass of the density that the classic
+        route leaves out, which its price error tracks.  0 at K = 0, which
+        uses no coefficients."""
+        K = _check_strikes(strikes)
+        g, c = self.grid, self.coeffs.values
+        sums = np.concatenate(([0.0], np.cumsum(c)))
+        out = np.zeros(K.shape)
+        for i in np.flatnonzero(K > 0.0):
+            window = np.subtract(_classic_window(g, np.log(K[i] / self.model.forward)), g.k1)
+            lo, hi = np.clip(window, 0, c.size)
+            out[i] = abs(sums[-1] - (sums[hi] - sums[lo]))
+        return 2.0 ** (-g.m / 2.0) * out
 
     @cached_property
     def _em_sums(self):

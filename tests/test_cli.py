@@ -512,6 +512,39 @@ class TestErrorSweep:
         points = np.concatenate(ein_args)
         assert np.unique(points).size == points.size
 
+    def test_window_uncovered_flag(self, capsys, heston_short_file, lognormal_file,
+                                   heston_heavy_file):
+        # on the short set, 1.25F's classic window drops ~1e-2 of the
+        # density (its classic price is ~3e-3 low); 1.4F is past b, which
+        # takes precedence
+        code, out, _ = run_cli(capsys, "error-sweep", "--model", heston_short_file,
+                               *strike_args(1.0, 1.25, 1.4))
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [row[6] for row in rows] == ["", "window_uncovered", "beyond_truncation"]
+        assert abs(float(rows[1][4])) > 1e-3
+        # lognormal |z| <= 0.75: the window covers the density
+        code, out, _ = run_cli(capsys, "error-sweep", "--model", lognormal_file,
+                               *strike_args(*(100.0 * np.exp(np.linspace(-0.75, 0.75, 7))).tolist()))
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert code == 0 and len(rows) == 7
+        assert all(row[6] == "" and abs(float(row[4])) < 1e-12 for row in rows)
+        # the heavy set's L = 12 window itself leaves ~1e-3 of mass out
+        code, out, _ = run_cli(capsys, "error-sweep", "--model", heston_heavy_file)
+        assert code == 0
+        assert {line.split(",")[6] for line in out.strip().splitlines()[1:]} == {"window_uncovered"}
+
+    def test_sweep_calls_payoff_ein(self, capsys, monkeypatch, heston_short_file):
+        # benchmarks/spans.py times Ein by wrapping this module binding: a
+        # sweep that bypassed it would read as no Ein work at all
+        calls = []
+        real_ein = payoff_mod.ein
+        monkeypatch.setattr(payoff_mod, "ein", lambda z: calls.append(1) or real_ein(z))
+        code, _, err = run_cli(capsys, "error-sweep", "--model", heston_short_file,
+                               "--strike", "1.0")
+        assert code == 0, err
+        assert len(calls) > 0
+
     @pytest.mark.parametrize("strike", ["-1", "nan", "inf"])
     def test_bad_strike_exit_code(self, capsys, lognormal_file, strike):
         code, out, err = run_cli(capsys, "error-sweep", "--model", lognormal_file,

@@ -454,6 +454,26 @@ class TestClassicRoute:
             ctx.price_puts([1.0, 1.3], "classic")
 
 
+    def test_dropped_mass(self, heston_short):
+        # |2^{-m/2} sum c_k| over the k outside each strike's classic window,
+        # against an explicit loop; 0 at K = 0, which uses no coefficients
+        strikes = [0.0, 0.8, 1.0, 1.25]
+        grid = grid_for(heston_short, 8, L=12.0, strikes=strikes)
+        ctx = PricingContext(heston_short, grid)
+        got = ctx.classic_dropped_mass(strikes)
+        assert got[0] == 0.0
+        for K, mass in zip(strikes[1:], got[1:]):
+            z = np.log(K)
+            lo, hi = np.floor(256 * (grid.a + z)), np.ceil(256 * (grid.b + z)) + 1
+            dropped = sum(c for k, c in enumerate(ctx.coeffs.values, grid.k1)
+                          if not lo <= k < hi)
+            assert mass == pytest.approx(abs(dropped) / 16, rel=1e-9, abs=1e-16)
+        # at 1.25F the window drops the density's lower tail, and the
+        # classic price misses about that much
+        err = abs(ctx.price_puts([1.25], "classic")[0] - reference_put(heston_short, 1.25))
+        assert got[3] / 4 <= err / 1.25 <= got[3]
+
+
 class TestStrikeIndependence:
     def test_one_density_computation_for_many_strikes(self, lognormal, monkeypatch):
         calls = {"n": 0}

@@ -129,3 +129,72 @@ class TestExpSinIntegral:
             b = rng.uniform(-200, 200)
             ref = quad_exp_sin(a, b)
             assert abs(exp_sin_integral(a, b) - ref) <= 1e-11 * (1 + abs(ref))
+
+
+# |z| where ein's evaluation could switch: 1 (Taylor), 50 (continued
+# fraction); 8, 20, 200 and 1000 bound the depth bands a fraction could use
+EIN_RADII = (8.0, 20.0, 50.0, 200.0, 1000.0)
+
+
+def exp1_ein(z):
+    """gamma + log z + E1(z) with scipy's independent complex E1."""
+    return np.euler_gamma + np.log(z) + exp1(z)
+
+
+class TestEinPayoffRay:
+    """The closed forms' arguments z = t(-1/p + i), p = pi 2^m."""
+
+    @pytest.mark.parametrize("m", [1, 6, 8, 10])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_band_by_band(self, m, sign):
+        p = np.pi * 2.0**m
+        scale = np.hypot(1.0, 1.0 / p)  # |z| / |t|
+        ts = [r / scale * (1 + eps) for r in EIN_RADII for eps in (-1e-6, 1e-6)]
+        ts = sign * np.array(ts + [1300.0, 1700.0, 2000.0])
+        zs = -ts / p + 1j * ts
+        got = ein(zs)
+        for t, z, v in zip(ts, zs, got):
+            ref = quad_exp_sin(-t / p, t)  # int_0^1 e^{tv/p} sin(tv)/v dv
+            assert abs(v.imag - ref) <= 1e-13 * abs(ref), z
+            assert abs(v - exp1_ein(z)) <= 1e-13 * abs(v), z
+            assert ein(complex(z)) == v
+
+    def test_crossover_continuity(self):
+        # both sides of |z| = 50, where exp1 hands over to the continued
+        # fraction, at angles up to the sector edge Re z = -Im z/4, and
+        # both sides of that edge at radii from 50 to 2000
+        edge = np.pi - np.arctan(4.0)
+        pts = [(r, theta) for r in (50.0 - 1e-9, 50.0 + 1e-9)
+               for theta in np.linspace(0.0, edge, 9)]
+        pts += [(r, edge + d) for r in (50.5, 120.0, 700.0, 2000.0) for d in (-1e-9, 1e-9)]
+        for r, theta in pts:
+            for z in (r * np.exp(1j * theta), r * np.exp(-1j * theta)):
+                ref = exp1_ein(z)
+                assert abs(ein(z) - ref) <= 1e-13 * abs(ref), z
+                if abs(z.real) <= 50.0:
+                    assert abs(ein(z).imag - quad_exp_sin(z.real, z.imag)) <= 1e-13 * abs(ref), z
+
+
+class TestNonFinite:
+    BAD = [np.nan, np.inf, -np.inf]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_ein_refuses(self, bad):
+        for z in (complex(bad, 1.0), complex(1.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                ein(z)
+            with pytest.raises(ValueError, match="finite"):
+                ein(np.array([[1.0 + 2.0j, 60.0j], [z, 3.0]]))
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_si_refuses(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            si(bad)
+        with pytest.raises(ValueError, match="finite"):
+            si(np.array([0.5, bad, 2.0]))
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_exp_sin_integral_refuses(self, bad):
+        for a, b in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                exp_sin_integral(a, b)
