@@ -22,9 +22,9 @@ from .models import HestonParams, ModelSpec, cumulants, model_from_json
 from .payoff import (PayoffJob, payoff_classic_si_ein, payoff_classic_simpson,
                      payoff_classic_vieta, payoff_fft_euler_maclaurin,
                      payoff_forward_si_ein)
-from .pricer import (DENSITY_STRATEGIES, FILON_TOL, GridSelectionError,
-                     PricingContext, ReferenceError, grid_for, reference_put,
-                     truncation_interval)
+from .pricer import (DENSITY_STRATEGIES, FILON_TOL, PAYOFF_STRATEGIES,
+                     GridSelectionError, PricingContext, ReferenceError, grid_for,
+                     reference_put, truncation_interval)
 
 # The default --mass-tol, and the density mass left out of the classic
 # window above which error-sweep flags a row window_uncovered
@@ -244,7 +244,8 @@ OPTIONS = {
     "L": dict(type=float, help="cumulant truncation level"),
     "mass-tol": dict(type=float, default=MASS_TOL),
     "density": dict(choices=DENSITY_STRATEGIES, default="trapezoidal"),
-    "payoff": dict(choices=("classic", "forward", "em-fft"), default="forward"),
+    "payoff": dict(choices=tuple(p.replace("_", "-") for p in PAYOFF_STRATEGIES),
+                   default="forward"),
     "out": dict(help="output path (default: stdout)"),
     "format": dict(choices=("csv", "json"), default="csv"),
     "reps": dict(type=int, default=3),

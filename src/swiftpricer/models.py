@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import factorial
 
-# Convention: the Heston fourth cumulant is approximated by zero (its closed
-# form is unwieldy and the truncation rule only needs a rough guess; the
-# printed reference interval in the experiments is reproduced with c4 = 0).
+# Convention: the truncation rule uses no fourth cumulant.  The Heston c4
+# has an unwieldy closed form, the rule only needs a rough guess, and the
+# printed reference interval in the experiments is reproduced without it.
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,10 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Cumulants:
-    """Cumulants of y = ln(S_T/F); c4 may be an approximation (see char_fn)."""
+    """Mean c1 and variance c2 of y = ln(S_T/F)."""
 
     c1: float
     c2: float
-    c4: float
 
     def __post_init__(self):
         if self.c2 < 0:
@@ -162,19 +161,18 @@ def char_fn(model: ModelSpec, u):
 
 
 def cumulants(model: ModelSpec) -> Cumulants:
-    """Cumulants c1, c2, c4 of y = ln(S_T/F).
+    """Cumulants c1, c2 of y = ln(S_T/F).
 
-    Lognormal: exact (c1 = -sigma^2 T/2, c2 = sigma^2 T, c4 = 0).
+    Lognormal: exact (c1 = -sigma^2 T/2, c2 = sigma^2 T).
     Heston: closed-form c1 and c2, by their series in kappa for
-    kappa T < 5e-4 (kappa = 0 included); c4 is approximated by 0 (the
-    convention noted at the top of this module), adequate for seeding
-    truncation guesses.
+    kappa T < 5e-4 (kappa = 0 included); no c4 (the convention noted at
+    the top of this module), adequate for seeding truncation guesses.
     """
     T = model.maturity
     dyn = model.dynamics
     if isinstance(dyn, LognormalParams):
         var = dyn.vol * dyn.vol * T
-        return Cumulants(c1=-0.5 * var, c2=var, c4=0.0)
+        return Cumulants(c1=-0.5 * var, c2=var)
 
     k, th, s, r, v0 = dyn.kappa, dyn.theta, dyn.sigma, dyn.rho, dyn.v0
     x, y = k * T, s * T
@@ -186,7 +184,7 @@ def cumulants(model: ModelSpec) -> Cumulants:
         b = 2 * (n + 3) * (r * y * (n * th - (n + 1) * v0) + (n + 2) * (v0 - th * (n > 0)))
         c1 = -th * T / 2.0 + (th - v0) * T / 2.0 * np.sum((-x) ** n / factorial(n + 1))
         c2 = T * np.sum((-x) ** n * (a + b) / (2.0 * factorial(n + 3)))
-        return Cumulants(c1=float(c1), c2=float(c2), c4=0.0)
+        return Cumulants(c1=float(c1), c2=float(c2))
     ekt = np.exp(-k * T)
     c1 = -th * T / 2.0 + (th - v0) * (1.0 - ekt) / (2.0 * k)
     e1 = np.exp(k * T)
@@ -204,7 +202,7 @@ def cumulants(model: ModelSpec) -> Cumulants:
         + s * s * e2 - s * s
     )
     c2 = (term_th + term_v0) * np.exp(-2.0 * k * T) / (8.0 * k**3)
-    return Cumulants(c1=float(c1), c2=float(c2), c4=0.0)
+    return Cumulants(c1=float(c1), c2=float(c2))
 
 
 # JSON's name for each non-number type json.load returns

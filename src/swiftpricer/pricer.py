@@ -5,8 +5,7 @@ grid, and provide the independent reference pricer used for error columns.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -66,11 +65,6 @@ class WaveletGrid:
 @dataclass(frozen=True)
 class PricingResult:
     price: float
-    grid: WaveletGrid
-    density_strategy: str
-    payoff_strategy: str
-    cf_evals: int
-    elapsed: float
 
 
 class GridSelectionError(RuntimeError):
@@ -78,29 +72,25 @@ class GridSelectionError(RuntimeError):
 
 
 def truncation_interval(cum: Cumulants, L: float) -> tuple[float, float]:
-    """[a, b] = c1 -+ L sqrt(c2 + sqrt|c4|), the cumulant truncation rule."""
+    """[a, b] = c1 -+ L sqrt(c2), the cumulant truncation rule."""
     if not 0 < L < math.inf:
         raise ValueError(f"L must be finite and > 0, got {L}")
-    half = L * np.sqrt(cum.c2 + np.sqrt(abs(cum.c4)))
+    half = L * np.sqrt(cum.c2)
     return float(cum.c1 - half), float(cum.c1 + half)
 
 
-def select_scale(model: ModelSpec, tol: float, m_min: int = 1, m_max: int = 12) -> int:
-    """Smallest m with |psi(2^m pi)| <= tol: the cf is then negligible
-    beyond the scale's bandwidth and is never evaluated past 2^m pi.  One
-    cf call covers every candidate scale."""
-    if m_min < 1:
-        raise ValueError("m_min must be >= 1")
-    if m_max < m_min:
-        raise ValueError(f"need m_min <= m_max, got [{m_min}, {m_max}]")
-    ms = np.arange(m_min, m_max + 1)
+def select_scale(model: ModelSpec) -> int:
+    """Smallest m in 1..12 with |psi(2^m pi)| <= ``_SCALE_TOL``: the cf is
+    then negligible beyond the scale's bandwidth and is never evaluated
+    past 2^m pi.  One cf call covers every candidate scale."""
+    ms = np.arange(1, 13)
     psi = np.abs(char_fn(model, 2.0**ms * np.pi))
-    hit = np.flatnonzero(psi <= tol)
+    hit = np.flatnonzero(psi <= _SCALE_TOL)
     if hit.size:
         return int(ms[hit[0]])
     raise GridSelectionError(
-        f"no scale in [{m_min}, {m_max}] reaches |psi(2^m pi)| <= {tol} "
-        f"(|psi(2^{m_max} pi)| = {psi[-1]:.3e})")
+        f"no scale in [1, 12] reaches |psi(2^m pi)| <= {_SCALE_TOL} "
+        f"(|psi(2^12 pi)| = {psi[-1]:.3e})")
 
 
 def select_k_range(coeffs: CoefficientArray, m: int, mass_tol: float) -> tuple[int, int]:
@@ -141,8 +131,7 @@ def _search_slice(model: ModelSpec, grid: WaveletGrid) -> CoefficientArray | Non
     return CoefficientArray(grid.k1, coeffs.values[grid.k1 - job.k1:grid.k2 - job.k1])
 
 
-def _compute_density(model: ModelSpec, grid: WaveletGrid, strategy: str,
-                     filon_tol: float):
+def _compute_density(model: ModelSpec, grid: WaveletGrid, strategy: str):
     """Returns (CoefficientArray, cf_evals); cf_evals counts the nodes
     behind the coefficients, also when they come from the grid search."""
     if strategy in ("midpoint", "trapezoidal"):
@@ -154,7 +143,7 @@ def _compute_density(model: ModelSpec, grid: WaveletGrid, strategy: str,
         rule = density_midpoint_fft if strategy == "midpoint" else density_trapezoidal_fft
         return rule(DensityJob(model, grid.m, grid.J, grid.k1, grid.k2)), n_cf
     if strategy == "filon":
-        return density_filon(model, grid.m, grid.k1, grid.k2, filon_tol)
+        return density_filon(model, grid.m, grid.k1, grid.k2, FILON_TOL)
     raise ValueError(f"unknown density strategy '{strategy}' "
                      f"(choose from {DENSITY_STRATEGIES})")
 
@@ -178,11 +167,11 @@ def _cis(theta) -> np.ndarray:
     return out
 
 
-def _classic_window(g: WaveletGrid, z: float) -> tuple[int, int]:
+def _classic_window(g: WaveletGrid, z):
     """[k1c, k2c): the coefficients the classic route uses at z = ln(K/F),
     the k-window [2^m(a+z), 2^m(b+z)) moved with the strike and rounded
-    outward for wider coverage."""
-    return int(np.floor(2.0**g.m * (g.a + z))), int(np.ceil(2.0**g.m * (g.b + z))) + 1
+    outward for wider coverage; integral floats, elementwise in z."""
+    return np.floor(2.0**g.m * (g.a + z)), np.ceil(2.0**g.m * (g.b + z)) + 1.0
 
 
 class PricingContext:
@@ -195,12 +184,11 @@ class PricingContext:
     """
 
     def __init__(self, model: ModelSpec, grid: WaveletGrid,
-                 density_strategy: str = "trapezoidal", filon_tol: float = FILON_TOL):
+                 density_strategy: str = "trapezoidal"):
         self.model = model
         self.grid = grid
         self.density_strategy = density_strategy
-        self.coeffs, self.cf_evals = _compute_density(model, grid,
-                                                      density_strategy, filon_tol)
+        self.coeffs, self.cf_evals = _compute_density(model, grid, density_strategy)
 
     @cached_property
     def _forward_a_end(self):
@@ -231,7 +219,7 @@ class PricingContext:
             # strike-centered payoff over the shifted window [a+z, z]: the
             # coefficient index k pairs with the classic formula at offset
             # k - 2^m z
-            k1c, k2c = _classic_window(g, z)
+            k1c, k2c = (int(k) for k in _classic_window(g, z))
             if k1c < g.k1 or k2c > g.k2:
                 raise ValueError(
                     f"classic payoff window [{k1c}, {k2c}) not covered by the "
@@ -250,11 +238,11 @@ class PricingContext:
         K = _check_strikes(strikes)
         g, c = self.grid, self.coeffs.values
         sums = np.concatenate(([0.0], np.cumsum(c)))
+        live = K > 0.0
+        window = np.subtract(_classic_window(g, np.log(K[live] / self.model.forward)), g.k1)
+        lo, hi = np.clip(window, 0, c.size).astype(int)
         out = np.zeros(K.shape)
-        for i in np.flatnonzero(K > 0.0):
-            window = np.subtract(_classic_window(g, np.log(K[i] / self.model.forward)), g.k1)
-            lo, hi = np.clip(window, 0, c.size)
-            out[i] = abs(sums[-1] - (sums[hi] - sums[lo]))
+        out[live] = np.abs(sums[-1] - (sums[hi] - sums[lo]))
         return 2.0 ** (-g.m / 2.0) * out
 
     @cached_property
@@ -378,18 +366,11 @@ class PricingContext:
         return self.model.discount * F * 2.0 ** (g.m / 2.0) * sums
 
     def price_put(self, K: float, payoff_strategy: str = "forward") -> PricingResult:
-        t0 = time.perf_counter()
-        price = float(self.price_puts([K], payoff_strategy)[0])
-        return PricingResult(price=price, grid=self.grid,
-                             density_strategy=self.density_strategy,
-                             payoff_strategy=payoff_strategy,
-                             cf_evals=self.cf_evals,
-                             elapsed=time.perf_counter() - t0)
+        return PricingResult(float(self.price_puts([K], payoff_strategy)[0]))
 
     def price_call(self, K: float, payoff_strategy: str = "forward") -> PricingResult:
-        res = self.price_put(K, payoff_strategy)
         parity = self.model.discount * (self.model.forward - K)
-        return replace(res, price=res.price + parity)
+        return PricingResult(self.price_put(K, payoff_strategy).price + parity)
 
 
 def auto_grid(model: ModelSpec, L: float = 10.0, mass_tol: float = 1e-9,
@@ -405,7 +386,7 @@ def auto_grid(model: ModelSpec, L: float = 10.0, mass_tol: float = 1e-9,
     ``PricingContext`` on it slices instead of redoing the FFT.  A window
     past ``_MAX_K_HALF``, the seed too, raises ``GridSelectionError``."""
     if m is None:
-        m = select_scale(model, _SCALE_TOL)
+        m = select_scale(model)
     a, b = truncation_interval(cumulants(model), L)
     if max(-a, b) > math.ldexp(_MAX_K_HALF, -m):  # 2^m max(-a, b), overflow-free
         raise GridSelectionError(f"the seed window 2^m max(-a, b) of m = {m}, L = {L} "

@@ -103,9 +103,12 @@ def ein(z):
     small = r <= 1.0
     frac = (r > _CF_RADIUS) & (4.0 * w.real >= -w.imag)
     rest = ~(small | frac)
-    # Ein(z) = sum_n (-z)^n/n! * (-1/n), (-z)^n/n! as a running product
-    out[small] = np.cumprod(w[small][:, None] / -_N, axis=1) @ (-1.0 / _N)
-    out[rest] = EULER_GAMMA + np.log(w[rest]) + exp1(w[rest])
+    # Ein(z) = sum_n (-z)^n/n! * (-1/n), (-z)^n/n! as a running product;
+    # the payoff's arrays mostly leave these two branches empty, skipped
+    if small.any():
+        out[small] = np.cumprod(w[small][:, None] / -_N, axis=1) @ (-1.0 / _N)
+    if rest.any():
+        out[rest] = EULER_GAMMA + np.log(w[rest]) + exp1(w[rest])
     out[frac] = _ein_fraction(w[frac], r[frac])
     out = np.where(lower, np.conj(out), out)
     return complex(out[()]) if scalar else out

@@ -243,6 +243,18 @@ class TestPrice:
         assert out == ""
         assert "achieved mass 0.99984" in err
 
+    def test_rho_one_large_sigma_exit_code(self, capsys, tmp_path):
+        # rho = 1, sigma = 5: |psi(2^12 pi)| = 0.366, no scale is reached
+        doc = tmp_path / "rho_one.json"
+        doc.write_text(json.dumps({"forward": 100.0, "maturity": 1.0, "discount": 1.0,
+                                   "heston": {"v0": 0.04, "kappa": 1.0, "theta": 0.04,
+                                              "sigma": 5.0, "rho": 1.0}}))
+        code, out, err = run_cli(capsys, "price", "--model", str(doc))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert "|psi(2^12 pi)| = 3.66" in err
+
     @pytest.mark.parametrize("grid_args", [[], ["--m", "4", "--J", "8"]])
     @pytest.mark.parametrize("density", ["trapezoidal", "midpoint", "filon"])
     def test_non_finite_density_exit_code(self, capsys, monkeypatch, lognormal_file,

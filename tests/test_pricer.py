@@ -43,7 +43,7 @@ def short_grid(J=5, m=6, kh=16):
 
 class TestTruncationInterval:
     def test_arithmetic(self):
-        a, b = truncation_interval(Cumulants(0.0, 0.01, 0.0), 10.0)
+        a, b = truncation_interval(Cumulants(0.0, 0.01), 10.0)
         assert (a, b) == (-1.0, 1.0)
 
     def test_heston_short_anchor(self):
@@ -59,18 +59,15 @@ class TestTruncationInterval:
     def test_rejects_bad_level(self):
         for L in (0.0, float("inf")):
             with pytest.raises(ValueError, match="L must be"):
-                truncation_interval(Cumulants(0.0, 0.01, 0.0), L)
+                truncation_interval(Cumulants(0.0, 0.01), L)
 
 
 class TestSelectScale:
     def test_lognormal(self):
-        assert select_scale(LOGNORMAL_02, 1e-8) == 4
-
-    def test_tol_one_gives_m_min(self):
-        assert select_scale(LOGNORMAL_02, 1.0, m_min=2) == 2
+        assert select_scale(LOGNORMAL_02) == 4
 
     def test_heston_short_consistency(self):
-        m = select_scale(HESTON_SHORT, 1e-8)
+        m = select_scale(HESTON_SHORT)
         assert 5 <= m <= 9
         # defining property, checked against the cf directly
         assert abs(char_fn(HESTON_SHORT, 2.0**m * np.pi)) <= 1e-8
@@ -79,37 +76,32 @@ class TestSelectScale:
     def test_unreachable_raises(self):
         frozen = ModelSpec(1.0, 1e-8, 1.0, LognormalParams(vol=1e-6))
         with pytest.raises(GridSelectionError):
-            select_scale(frozen, 1e-8, m_max=10)
+            select_scale(frozen)
 
     def test_unreachable_message(self):
         frozen = ModelSpec(1.0, 1e-8, 1.0, LognormalParams(vol=1e-6))
-        last = abs(char_fn(frozen, 2.0**10 * np.pi))
+        last = abs(char_fn(frozen, 2.0**12 * np.pi))
         with pytest.raises(GridSelectionError) as exc_info:
-            select_scale(frozen, 1e-8, m_max=10)
+            select_scale(frozen)
         assert str(exc_info.value) == (
-            f"no scale in [1, 10] reaches |psi(2^m pi)| <= 1e-08 "
-            f"(|psi(2^10 pi)| = {last:.3e})")
-
-    def test_empty_scale_range_rejected(self):
-        with pytest.raises(ValueError, match="m_max"):
-            select_scale(LOGNORMAL_02, 1e-8, m_min=5, m_max=4)
+            f"no scale in [1, 12] reaches |psi(2^m pi)| <= 1e-08 "
+            f"(|psi(2^12 pi)| = {last:.3e})")
 
     def test_one_cf_call(self, monkeypatch):
         sizes = record_cf_points(monkeypatch)
-        select_scale(HESTON_HEAVY, 1e-8)
+        select_scale(HESTON_HEAVY)
         assert sizes == [12]
 
     def test_same_scale_as_one_call_per_scale(self):
-        def per_scale(model, tol):
+        def per_scale(model):
             for m in range(1, 13):
-                if abs(char_fn(model, 2.0**m * np.pi)) <= tol:
+                if abs(char_fn(model, 2.0**m * np.pi)) <= 1e-8:
                     return m
         rng = np.random.default_rng(20261018)
         models = [LOGNORMAL_02, HESTON_SHORT, HESTON_HEAVY]
         models += [fresh_draw(rng) for _ in range(300)]
         for model in models:
-            for tol in (1e-8, 1e-12):
-                assert select_scale(model, tol) == per_scale(model, tol), model
+            assert select_scale(model) == per_scale(model), model
 
 
 class TestSelectKRange:
@@ -500,7 +492,7 @@ class TestStrategyAgreement:
         K = 1.01
         prices = []
         for dens in ("midpoint", "trapezoidal", "filon"):
-            ctx = PricingContext(heston_short, grid, dens, filon_tol=1e-10)
+            ctx = PricingContext(heston_short, grid, dens)
             for pay in ("classic", "forward", "em_fft"):
                 prices.append(ctx.price_put(K, pay).price)
         prices = np.array(prices)
@@ -641,6 +633,59 @@ class TestAutoGrid:
             grid_for(lognormal, J=8)
 
 
+def heston_sweep_draw(rng, i):
+    """Draw i of the invariant sweep: kappa = 0 on every 8th draw (from 3),
+    rho = +1 and -1 on draws 1 and 2 of every 8, sigma = 1.5 on draws 5;
+    otherwise kappa in [0, 5], rho in [-1, 1] and sigma in [0.05, 1.5]."""
+    kappa = 0.0 if i % 8 == 3 else rng.uniform(0.0, 5.0)
+    rho = (1.0, -1.0)[i % 2] if i % 8 in (1, 2) else rng.uniform(-1.0, 1.0)
+    sigma = 1.5 if i % 8 == 5 else rng.uniform(0.05, 1.5)
+    dyn = HestonParams(v0=rng.uniform(0.005, 0.2), kappa=kappa,
+                       theta=rng.uniform(0.005, 0.2), sigma=sigma, rho=rho)
+    return ModelSpec(float(np.exp(rng.uniform(0.0, np.log(1e6)))), rng.uniform(0.05, 3.0),
+                     rng.uniform(0.9, 1.0), dyn)
+
+
+class TestHestonInvariantSweep:
+    """Seeded Heston draws through the degenerate regimes.  On each auto
+    grid at criterion 8d's mass_tol = 1e-10, the em_fft and forward puts at
+    50 strikes hold the no-arbitrage bounds and are non-decreasing and
+    convex in K to 8d's slack 1e-10 B K.  The strikes span z = ln(K/F) over
+    0.9 [a, b] cut to [-2, 2]: both routes round at a few eps of max(K, F),
+    which passes 1e-10 K once K < 1e-5 F.  A grid the model cannot reach is
+    refused with GridSelectionError; nothing comes out NaN."""
+
+    MASS_TOL = 1e-10
+
+    def test_bounds_monotone_convex(self):
+        rng = np.random.default_rng(20261019)
+        priced = []
+        for i in range(40):
+            model = heston_sweep_draw(rng, i)
+            try:
+                grid = auto_grid(model, mass_tol=self.MASS_TOL)
+            except GridSelectionError:
+                continue
+            ctx = PricingContext(model, grid)
+            assert 2.0 ** (-grid.m / 2.0) * ctx.coeffs.values.sum() >= 1.0 - self.MASS_TOL
+            F, B = model.forward, model.discount
+            z = np.linspace(max(0.9 * grid.a, -2.0), min(0.9 * grid.b, 2.0), 50)
+            strikes = F * np.exp(z)
+            slack = 1e-10 * B * strikes
+            for route in ("em_fft", "forward"):
+                puts = ctx.price_puts(strikes, route)
+                assert np.isfinite(puts).all()
+                assert np.all(puts >= np.maximum(B * (strikes - F), 0.0) - slack), (i, route)
+                assert np.all(puts <= B * strikes + slack), (i, route)
+                assert np.all(np.diff(puts) >= -slack[:-1]), (i, route)
+                assert np.all(np.diff(puts, 2) >= -slack[1:-1]), (i, route)
+            priced.append(model.dynamics)
+        # every regime the sweep is for is priced, not only refused
+        assert len(priced) >= 30
+        assert any(p.kappa == 0.0 for p in priced)
+        assert any(p.rho == -1.0 for p in priced) and any(p.rho == 1.0 for p in priced)
+        assert any(p.sigma == 1.5 for p in priced)
+        assert any(2.0 * p.kappa * p.theta < p.sigma**2 for p in priced)
 
 
 class TestGridHandover:

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import exp1, sici
 
 from oracles import quad_ein, quad_exp_sin, quad_si
+import swiftpricer.specfun as specfun
 from swiftpricer import ein, exp_sin_integral, si
 
 SI_PI = 1.8519370519824662  # adaptive quadrature of sin(t)/t on [0, pi]
@@ -173,6 +174,26 @@ class TestEinPayoffRay:
                 assert abs(ein(z) - ref) <= 1e-13 * abs(ref), z
                 if abs(z.real) <= 50.0:
                     assert abs(ein(z).imag - quad_exp_sin(z.real, z.imag)) <= 1e-13 * abs(ref), z
+
+    def test_sector_array_makes_no_exp1_call(self, monkeypatch):
+        # a payoff-ray array wholly past |z| = 50, in both half planes: the
+        # Taylor and exp1 branches are empty and skipped, and the values
+        # are bit for bit those of the same points among other branches
+        ts = np.concatenate([np.geomspace(60.0, 1e5, 50), -np.geomspace(60.0, 1e5, 50)])
+        zs = -ts / (np.pi * 2.0**6) + 1j * ts
+        mixed = ein(np.concatenate([zs, [0.5 + 0.5j, 10.0j]]))
+        calls = []
+
+        def recording(w):
+            calls.append(np.size(w))
+            return exp1(w)
+
+        monkeypatch.setattr(specfun, "exp1", recording)
+        got = ein(zs)
+        assert calls == []
+        assert np.array_equal(got, mixed[:zs.size])
+        ein(np.array([10.0j]))
+        assert calls == [1]
 
 
 class TestNonFinite:
