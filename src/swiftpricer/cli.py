@@ -12,6 +12,7 @@ import json
 import statistics
 import sys
 import time
+import timeit
 
 import numpy as np
 
@@ -108,7 +109,7 @@ def cmd_price(args) -> int:
         "price": price,
         "grid": {"m": grid.m, "k1": grid.k1, "k2": grid.k2, "J": grid.J,
                  "N": grid.N, "a": grid.a, "b": grid.b},
-        "density_strategy": ctx.density_strategy,
+        "density_strategy": args.density,
         "payoff_strategy": args.payoff,
         "cf_evals": ctx.cf_evals,
         "elapsed_seconds": share,
@@ -151,15 +152,10 @@ def cmd_density_table(args) -> int:
 
 
 def _median_seconds(fn, reps: int) -> float:
-    """Median wall time of ``reps`` calls of ``fn``."""
+    """Median wall time of ``reps`` calls of ``fn``, with ``timeit``'s gc pause."""
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    return statistics.median(timeit.repeat(fn, number=1, repeat=reps))
 
 
 def _density_timings(model, grid, reps: int):

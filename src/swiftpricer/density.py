@@ -31,6 +31,8 @@ _BLOCK_ELEMENTS = 1 << 16
 # on the reference models; below rounding (tol ~ 1e-16) the split test
 # never passes and they would double every level until memory runs out.
 _MAX_OPEN_PANELS = 1 << 14
+# Refinement levels a Filon run may take
+_MAX_DEPTH = 40
 
 
 @dataclass(frozen=True)
@@ -234,8 +236,7 @@ def _moments(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def density_filon(model: ModelSpec, m: int, k1: int, k2: int, tol: float,
-                  max_depth: int = 40):
+def density_filon(model: ModelSpec, m: int, k1: int, k2: int, tol: float):
     """All c_{m,k}, k in [k1, k2), by adaptive Filon quadrature.
 
     The smooth factor fhat is interpolated by a cubic on each panel and the
@@ -250,7 +251,7 @@ def density_filon(model: ModelSpec, m: int, k1: int, k2: int, tol: float,
     new nodes h/6, h/2 and 5h/6 of its open panels (4 + 3R points for R
     split tests), and its accepted halves share one table of moments.
 
-    Refinement stops at ``max_depth`` levels, or where a level would hold
+    Refinement stops at ``_MAX_DEPTH`` levels, or where a level would hold
     more than ``_MAX_OPEN_PANELS`` open panels (a tol below rounding).
     Either cap accepts the open panels as they stand and raises
     ``FilonConvergenceError`` with the coefficients so obtained.
@@ -286,9 +287,9 @@ def density_filon(model: ModelSpec, m: int, k1: int, k2: int, tol: float,
         est = np.trapezoid(np.abs(_poly_eval(c[..., None], _PROBE) - child),
                            dx=1.0 / (len(_PROBE) - 1), axis=1) * h
         split = est > tol_integral * (h / 0.5)
-        if depth >= max_depth or 2 * np.count_nonzero(split) > _MAX_OPEN_PANELS:
+        if depth >= _MAX_DEPTH or 2 * np.count_nonzero(split) > _MAX_OPEN_PANELS:
             # a cap accepts the halves as they stand
-            cap = (f"depth {max_depth}" if depth >= max_depth
+            cap = (f"depth {_MAX_DEPTH}" if depth >= _MAX_DEPTH
                    else f"{_MAX_OPEN_PANELS} open panels")
             leftover += float(np.sum(est[split]))
             split[:] = False

@@ -21,6 +21,8 @@ DENSITY_STRATEGIES = ("midpoint", "trapezoidal", "filon")
 PAYOFF_STRATEGIES = ("classic", "forward", "em_fft")
 # Default tolerance of the Filon density route
 FILON_TOL = 1e-8
+# Tolerance of reference_put, relative to max(K, 1e-8 F)
+_REFERENCE_TOL = 1e-10
 # auto_grid's scale cutoff |psi(2^m pi)| and its widest window [-2^15, 2^15),
 # whose trapezoidal job has J = 17; grid_for caps a given N and a strike
 # window there, and a given J at the J = 19 the strike-window default
@@ -187,7 +189,6 @@ class PricingContext:
                  density_strategy: str = "trapezoidal"):
         self.model = model
         self.grid = grid
-        self.density_strategy = density_strategy
         self.coeffs, self.cf_evals = _compute_density(model, grid, density_strategy)
 
     @cached_property
@@ -490,7 +491,7 @@ class ReferenceError(RuntimeError):
     pass
 
 
-def reference_put(model: ModelSpec, K, tol: float = 1e-10):
+def reference_put(model: ModelSpec, K):
     """Independent reference put price by damped Fourier inversion.
 
     Uses the fixed -i/2 damping contour (always inside the moment strip of
@@ -500,14 +501,12 @@ def reference_put(model: ModelSpec, K, tol: float = 1e-10):
                                   / (u^2 + 1/4) du ],   X = ln(F/K),
 
     integrated panelwise by adaptive Gauss-Kronrod with the tail truncated
-    where the cf envelope bounds the remainder below tol/10.  ``K`` may be a
-    scalar (float out) or a 1-D strike array (ndarray out): the strikes
-    share every cf evaluation and differ only in e^{i u X}, and the tail is
-    cut at the smallest of their budgets.  K = 0 prices an exact 0; a
-    negative or non-finite K raises ``ValueError``.
+    where the cf envelope bounds the remainder below _REFERENCE_TOL/10.
+    ``K`` may be a scalar (float out) or a 1-D strike array (ndarray out):
+    the strikes share every cf evaluation and differ only in e^{i u X}, and
+    the tail is cut at the smallest of their budgets.  K = 0 prices an
+    exact 0; a negative or non-finite K raises ``ValueError``.
     """
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
     scalar = np.ndim(K) == 0
     strikes = _check_strikes([K] if scalar else K)
     F, B = model.forward, model.discount
@@ -516,7 +515,7 @@ def reference_put(model: ModelSpec, K, tol: float = 1e-10):
     if live.any():
         Kl = strikes[live]
         # tail cut: |integrand| <= |psi(u - i/2)|/u^2, so remainder <= env/U
-        budget = np.min(tol / 10.0 * np.pi / np.sqrt(F * Kl) * np.maximum(Kl, F * 1e-8))
+        budget = np.min(_REFERENCE_TOL / 10 * np.pi / np.sqrt(F * Kl) * np.maximum(Kl, F * 1e-8))
         u_max = 50.0
         while u_max < 1e8:
             env = np.max(np.abs(char_fn(model, np.array([1.0, 1.3, 1.7]) * u_max - 0.5j)))
@@ -610,10 +609,3 @@ def _damped_integral(model: ModelSpec, X: np.ndarray, edges: np.ndarray) -> np.n
         lo, hi = np.concatenate([lo[keep], mid]), np.concatenate([mid, hi[keep]])
         panel = np.tile(panel[keep], 2)
     return total
-
-
-def reference_call(model: ModelSpec, K, tol: float = 1e-10):
-    """Reference call by put-call parity; ``K`` as for ``reference_put``."""
-    put = reference_put(model, K, tol)
-    strikes = K if np.ndim(K) == 0 else np.asarray(K, dtype=float)
-    return put + model.discount * (model.forward - strikes)

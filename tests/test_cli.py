@@ -388,9 +388,9 @@ class TestPriceTable:
     def test_one_reference_call_per_experiment(self, capsys, monkeypatch):
         calls = []
 
-        def counting(model, K, tol=1e-10):
+        def counting(model, K):
             calls.append(list(K))
-            return reference_put(model, K, tol)
+            return reference_put(model, K)
 
         monkeypatch.setattr(cli_mod, "reference_put", counting)
         code, _, _ = run_cli(capsys, "price-table")

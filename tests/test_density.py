@@ -237,9 +237,10 @@ class TestFilon:
         # same panels imply bit-identical overlapping coefficients
         assert np.array_equal(c_wide.values[lo:lo + 32], c_narrow.values)
 
-    def test_depth_cap_raises_with_best_estimate(self, heston_heavy):
+    def test_depth_cap_raises_with_best_estimate(self, heston_heavy, monkeypatch):
+        monkeypatch.setattr(density_mod, "_MAX_DEPTH", 2)
         with pytest.raises(FilonConvergenceError) as exc_info:
-            density_filon(heston_heavy, 8, -16, 16, tol=1e-12, max_depth=2)
+            density_filon(heston_heavy, 8, -16, 16, tol=1e-12)
         err = exc_info.value
         assert isinstance(err.best, CoefficientArray)
         assert err.achieved_tol > 1e-12
@@ -270,13 +271,13 @@ class TestFilon:
         scale = np.abs(c_ref.values).max()
         assert np.abs(c.values - c_ref.values).max() <= 1e-14 * scale
 
-    def test_depth_cap_matches_recursive_oracle(self, heston_heavy):
-        errs = []
-        for fn in (density_filon, recursive_filon):
-            with pytest.raises(FilonConvergenceError) as exc_info:
-                fn(heston_heavy, 8, -16, 16, tol=1e-12, max_depth=2)
-            errs.append(exc_info.value)
-        new, ref = errs
+    def test_depth_cap_matches_recursive_oracle(self, heston_heavy, monkeypatch):
+        monkeypatch.setattr(density_mod, "_MAX_DEPTH", 2)
+        with pytest.raises(FilonConvergenceError) as new_info:
+            density_filon(heston_heavy, 8, -16, 16, tol=1e-12)
+        with pytest.raises(FilonConvergenceError) as ref_info:
+            recursive_filon(heston_heavy, 8, -16, 16, tol=1e-12, max_depth=2)
+        new, ref = new_info.value, ref_info.value
         assert new.achieved_tol == pytest.approx(ref.achieved_tol, rel=1e-14)
         scale = np.abs(ref.best.values).max()
         assert np.abs(new.best.values - ref.best.values).max() <= 1e-14 * scale
@@ -298,8 +299,9 @@ class TestFilon:
         assert len(sizes) == 1 + (deepest + 1)  # the first nodes, then one per level
         assert sizes[:2] == [4, 3] and sum(sizes) == n
         sizes.clear()
+        monkeypatch.setattr(density_mod, "_MAX_DEPTH", deepest - 1)
         with pytest.raises(FilonConvergenceError):
-            density_filon(model, 6, -4, 4, tol=1e-8, max_depth=deepest - 1)
+            density_filon(model, 6, -4, 4, tol=1e-8)
         assert len(sizes) == 1 + deepest
 
 

@@ -13,8 +13,8 @@ from swiftpricer import (Cumulants, DensityJob, GridSelectionError, HestonParams
                          WaveletGrid, auto_grid, char_fn, cumulants,
                          density_trapezoidal_fft, payoff_fft_euler_maclaurin,
                          payoff_classic_si_ein, payoff_forward_si_ein,
-                         reference_call, reference_put,
-                         select_k_range, select_scale, truncation_interval)
+                         reference_put, select_k_range, select_scale,
+                         truncation_interval)
 import swiftpricer.density as density_mod
 import swiftpricer.payoff as payoff_mod
 import swiftpricer.pricer as pricer_mod
@@ -517,23 +517,19 @@ class TestReferencePut:
 
     def test_quoted_strike_reference(self, heston_short):
         # table arithmetic: quoted price 0.0063611 minus its error 3.97e-07
-        ref_call = reference_call(heston_short, 1.0064)
+        K = 1.0064
+        ref_call = reference_put(heston_short, K) + heston_short.discount * (
+            heston_short.forward - K)
         assert f"{ref_call:.4g}" == "0.006361"
         assert ref_call == pytest.approx(0.0063611 - 3.97e-07, abs=1e-6)
 
     def test_zero_strike_exact(self, lognormal):
         assert reference_put(lognormal, 0.0) == 0.0
-        assert reference_call(lognormal, 0.0) == lognormal.discount * lognormal.forward
 
     @pytest.mark.parametrize("K", [-1.0, float("nan"), float("inf")])
     def test_bad_strikes_rejected(self, lognormal, K):
         with pytest.raises(ValueError, match="strike"):
             reference_put(lognormal, K)
-
-    def test_call_parity(self, lognormal):
-        put = reference_put(lognormal, 120.0)
-        call = reference_call(lognormal, 120.0)
-        assert call - put == pytest.approx(-20.0, rel=1e-14)
 
     @pytest.mark.parametrize("model", [LOGNORMAL_02, HESTON_SHORT, HESTON_HEAVY],
                              ids=["lognormal", "heston_short", "heston_heavy"])
@@ -556,7 +552,6 @@ class TestReferencePut:
 
     def test_scalar_and_vector_shapes(self, lognormal):
         assert type(reference_put(lognormal, 100.0)) is float
-        assert type(reference_call(lognormal, 100.0)) is float
         for strikes in ([90.0, 110.0], np.array([100.0]), np.array([])):
             got = reference_put(lognormal, strikes)
             assert isinstance(got, np.ndarray) and got.shape == np.shape(strikes)
@@ -587,13 +582,6 @@ class TestReferencePut:
         monkeypatch.setattr(pricer_mod, "char_fn", holed)
         with pytest.raises(ReferenceError, match="quadrature failed"):
             reference_put(lognormal, [90.0, 100.0])
-
-    def test_call_parity_vector(self, lognormal):
-        strikes = np.array([0.0, 80.0, 100.0, 120.0])
-        calls = reference_call(lognormal, strikes)
-        assert calls[0] == lognormal.discount * lognormal.forward
-        assert np.allclose(calls - reference_put(lognormal, strikes),
-                           100.0 - strikes, rtol=1e-14, atol=0.0)
 
 
 class TestAutoGrid:
@@ -650,9 +638,10 @@ class TestHestonInvariantSweep:
     """Seeded Heston draws through the degenerate regimes.  On each auto
     grid at criterion 8d's mass_tol = 1e-10, the em_fft and forward puts at
     50 strikes hold the no-arbitrage bounds and are non-decreasing and
-    convex in K to 8d's slack 1e-10 B K.  The strikes span z = ln(K/F) over
-    0.9 [a, b] cut to [-2, 2]: both routes round at a few eps of max(K, F),
-    which passes 1e-10 K once K < 1e-5 F.  A grid the model cannot reach is
+    convex in K to 8d's slack 1e-10 B K, and agree with ``reference_put``
+    to 10 mass_tol max(K, F).  The strikes span z = ln(K/F) over 0.9 [a, b]
+    cut to [-2, 2]: both routes round at a few eps of max(K, F), which
+    passes 1e-10 K once K < 1e-5 F.  A grid the model cannot reach is
     refused with GridSelectionError; nothing comes out NaN."""
 
     MASS_TOL = 1e-10
@@ -672,9 +661,12 @@ class TestHestonInvariantSweep:
             z = np.linspace(max(0.9 * grid.a, -2.0), min(0.9 * grid.b, 2.0), 50)
             strikes = F * np.exp(z)
             slack = 1e-10 * B * strikes
+            ref = reference_put(model, strikes)
             for route in ("em_fft", "forward"):
                 puts = ctx.price_puts(strikes, route)
                 assert np.isfinite(puts).all()
+                assert np.all(np.abs(puts - ref)
+                              <= 10 * self.MASS_TOL * np.maximum(strikes, F)), (i, route)
                 assert np.all(puts >= np.maximum(B * (strikes - F), 0.0) - slack), (i, route)
                 assert np.all(puts <= B * strikes + slack), (i, route)
                 assert np.all(np.diff(puts) >= -slack[:-1]), (i, route)

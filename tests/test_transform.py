@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import naive_cos_sin, naive_dct2, naive_dst2, naive_inverse_dft
-from swiftpricer import cos_sin_sum, dct2_via_fft, dst2_via_fft, inverse_dft
+from swiftpricer import dct2_via_fft, dst2_via_fft, inverse_dft
+from swiftpricer.transform import cos_sin_sum
 
 
 class TestInverseDft:
