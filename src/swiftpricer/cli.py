@@ -74,11 +74,27 @@ def _emit(rows, header, err_cols, args):
         payload = [dict(zip(header, row)) for row in rows]
         text = json.dumps(payload, indent=2, default=str) + "\n"
     else:
-        lines = [",".join(header)] + [
-            ",".join(_fmt_err(cell) if name in err_cols else _fmt(cell)
-                     for name, cell in zip(header, row)) for row in rows]
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(_csv_lines(rows, header, err_cols)) + "\n"
     _write(text, args)
+
+
+def _csv_lines(rows, header, err_cols):
+    """The header and each row as a CSV line: cell by cell as ``_fmt`` (or
+    ``_fmt_err`` in ``err_cols``) would write it, with the conversion picked
+    once per column and each row written by one %-template."""
+    columns, specs = [], []
+    for name, col in zip(header, zip(*rows)):
+        floats = sum(isinstance(cell, float) for cell in col)
+        if floats == len(col):
+            specs.append("%.17e" if name in err_cols else "%.17g")
+        else:
+            if floats:
+                fmt = _fmt_err if name in err_cols else _fmt
+                col = [fmt(cell) for cell in col]
+            specs.append("%s")
+        columns.append(col)
+    template = ",".join(specs)
+    return [",".join(header)] + [template % row for row in zip(*columns)]
 
 
 def cmd_table1(args) -> int:

@@ -17,12 +17,13 @@ with fhat(x) = psi(-x):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .models import ModelSpec, char_fn
-from .transform import inverse_dft
+from .transform import _cis, inverse_dft
 
 # Elements per block of a batched (k or strike) x (panels or nodes)
 # temporary: keeps each near 1 MB, whatever the grid.
@@ -33,6 +34,8 @@ _BLOCK_ELEMENTS = 1 << 16
 _MAX_OPEN_PANELS = 1 << 14
 # Refinement levels a Filon run may take
 _MAX_DEPTH = 40
+# Filon's k-sum splits k = _K_SPLIT q + r, 0 <= r < _K_SPLIT
+_K_SPLIT = 16
 
 
 @dataclass(frozen=True)
@@ -181,20 +184,27 @@ def density_vieta_direct(model: ModelSpec, m: int, k, J: int):
     """c_{m,k} through the explicit Vieta cosine sum.
 
     One cf call on the 2^{J-1} nodes serves every k; ``k`` may be an integer
-    (float out) or an integer array (ndarray out).  The equivalence oracle
-    for density_midpoint_fft (the two are the same sum in exact arithmetic).
+    (float out) or an integer array (ndarray out), and a non-integral value
+    raises ValueError.  The equivalence oracle for density_midpoint_fft (the
+    two are the same sum in exact arithmetic).
     """
     if m < 1 or J < 1:
         raise ValueError("need m >= 1 and J >= 1")
+    with np.errstate(invalid="ignore"):  # a NaN or inf k fails the test below
+        ks = np.asarray(k).astype(np.int64)
+    if not np.array_equal(ks, k):
+        raise ValueError("k must be integers")
     n = 1 << (J - 1)
-    j = np.arange(1, n + 1)
-    psi = char_fn(model, _nodes(m, J, 2 * j - 1))
-    ks = np.asarray(k)
+    odd = 2 * np.arange(1, n + 1) - 1
+    psi = char_fn(model, _nodes(m, J, odd))
+    # e^{-i pi k (2j-1)/2^J} is a 2^{J+1}-th root of unity, read from a table
+    # at the exact integer k (2j-1) mod 2^{J+1}
+    roots = _cis(-np.pi * np.arange(4 * n) / (2 * n))
     out = np.empty(ks.size)
     step = max(1, _BLOCK_ELEMENTS // n)
     for lo in range(0, ks.size, step):
-        angles = np.pi * ks.reshape(-1, 1)[lo:lo + step] * (2 * j - 1) / (1 << J)
-        out[lo:lo + step] = np.sum((psi * np.exp(-1j * angles)).real, axis=1)
+        index = (ks.reshape(-1, 1)[lo:lo + step] * odd) & (4 * n - 1)
+        out[lo:lo + step] = np.sum((psi * roots[index]).real, axis=1)
     out *= 2.0 ** (m / 2.0) / n
     return float(out[0]) if ks.ndim == 0 else out.reshape(ks.shape)
 
@@ -209,11 +219,18 @@ def _poly_eval(c, s):
     return ((c[3] * s + c[2]) * s + c[1]) * s + c[0]
 
 
+# The small-theta moments' Taylor table, T[j, p] = 1/(j! (p + j + 1)):
+# m_p = sum_j (i theta)^j T[j, p]
+_TAYLOR = np.array([[1.0 / (math.factorial(j) * (p + j + 1)) for p in range(4)]
+                    for j in range(25)])
+
+
 def _moments(theta: np.ndarray) -> np.ndarray:
     """m_p = int_0^1 s^p e^{i theta s} ds for p = 0..3, vectorized in theta.
 
     Upward recursion m_p = (e^{i theta} - p m_{p-1})/(i theta) is stable for
-    |theta| >= 1/2; below that a short Taylor series avoids the cancellation.
+    |theta| >= 1/2; below that the Taylor series avoids the cancellation,
+    summed as one product of the powers (i theta)^j with ``_TAYLOR``.
     """
     theta = np.asarray(theta, dtype=float)
     it = 1j * theta
@@ -225,14 +242,39 @@ def _moments(theta: np.ndarray) -> np.ndarray:
     for p in range(1, 4):
         out[p] = (eit - p * out[p - 1]) / safe
     if np.any(small):
-        ts = it[small]
-        for p in range(4):
-            acc = np.zeros(ts.shape, dtype=complex)
-            term = np.ones(ts.shape, dtype=complex)
-            for jj in range(0, 25):
-                acc = acc + term / (p + jj + 1)
-                term = term * ts / (jj + 1)
-            out[p][small] = acc
+        powers = np.empty((np.count_nonzero(small), len(_TAYLOR)), dtype=complex)
+        powers[:, 0] = 1.0
+        powers[:, 1:] = it[small, None]
+        out[:, small] = (np.cumprod(powers, axis=1) @ _TAYLOR).T
+    return out
+
+
+def _level_sum(ts, cs, q, mom) -> np.ndarray:
+    """sum_t e^{2 pi i k t} sum_p cs[p](t) mom[p](k) over the panel starts
+    ``ts`` of one level, for k = _K_SPLIT q + r, as a (q, r) array.
+
+    With e^{2 pi i k t} = e^{2 pi i _K_SPLIT q t} e^{2 pi i r t} the sum over
+    t is one complex product of the q factors, (q x t), with the r factors
+    times each cubic coefficient, (t x 4 r), per block of panels and rows.
+    _K_SPLIT q t and r t are exact (t is dyadic), so each angle is reduced
+    mod 1 before its one rounding.
+    """
+    mom = mom.reshape(4, q.size, _K_SPLIT)
+    r = np.arange(_K_SPLIT)
+    out = np.zeros((q.size, _K_SPLIT), dtype=complex)
+    chunk = _BLOCK_ELEMENTS // (4 * _K_SPLIT)
+    for p0 in range(0, ts.size, chunk):
+        t, c = ts[p0:p0 + chunk], cs[:, p0:p0 + chunk]
+        waves = c[:, :, None] * _cis(2.0 * np.pi * np.modf(np.outer(t, r))[0])
+        waves = waves.transpose(1, 0, 2).reshape(t.size, 4 * _K_SPLIT)
+        step = max(1, _BLOCK_ELEMENTS // t.size)
+        for lo in range(0, q.size, step):
+            rows = slice(lo, lo + step)
+            phase = _cis(2.0 * np.pi * np.modf(np.outer(_K_SPLIT * q[rows], t))[0])
+            sums = (phase @ waves).reshape(-1, 4, _K_SPLIT)
+            mb = mom[:, rows]
+            out[rows] += (mb[0] * sums[:, 0] + mb[1] * sums[:, 1]
+                          + mb[2] * sums[:, 2] + mb[3] * sums[:, 3])
     return out
 
 
@@ -266,8 +308,11 @@ def density_filon(model: ModelSpec, m: int, k1: int, k2: int, tol: float):
         raise ValueError("need k1 < k2")
 
     scale = 2.0 ** (m + 1) * np.pi
-    omega = 2.0 * np.pi * np.arange(k1, k2, dtype=float)
-    integral = np.zeros(omega.size, dtype=complex)
+    # the k-sum runs over whole rows q of k = _K_SPLIT q + r, from the row
+    # of k1 to that of k2 - 1; the k outside [k1, k2) are dropped at the end
+    q = np.arange(k1 // _K_SPLIT, (k2 - 1) // _K_SPLIT + 1)
+    omega = 2.0 * np.pi * np.arange(_K_SPLIT * q[0], _K_SPLIT * (q[-1] + 1), dtype=float)
+    integral = np.zeros((q.size, _K_SPLIT), dtype=complex)
     tol_integral = 0.5 * tol   # budget for the t-integral itself
     leftover = 0.0             # unsatisfied estimates at the depth cap
     # the open panels [t0, t0 + h] of a level, with fhat at t0 + h _NODES
@@ -297,16 +342,12 @@ def density_filon(model: ModelSpec, m: int, k1: int, k2: int, tol: float):
             # the accepted halves all have width hh: one moment table
             ts = np.concatenate([t0[~split], tr[~split]])
             cs = np.concatenate([cl[:, ~split], cr[:, ~split]], 1)
-            mom = _moments(omega * hh)
-            step = max(1, _BLOCK_ELEMENTS // ts.size)
-            for lo in range(0, omega.size, step):
-                rows, mb = slice(lo, lo + step), mom[:, lo:lo + step, None]
-                poly = cs[0] * mb[0] + cs[1] * mb[1] + cs[2] * mb[2] + cs[3] * mb[3]
-                integral[rows] += hh * np.sum(np.exp(1j * omega[rows, None] * ts) * poly, 1)
+            integral += hh * _level_sum(ts, cs, q, _moments(omega * hh))
         t0 = np.concatenate([t0[split], tr[split]])
         vals = np.concatenate([left[split], right[split]])
         h, depth = hh, depth + 1
-    coeffs = _coefficients(k1, 2.0 ** (m / 2.0 + 1.0) * integral.real)
+    lo = k1 - _K_SPLIT * q[0]
+    coeffs = _coefficients(k1, 2.0 ** (m / 2.0 + 1.0) * integral.real.ravel()[lo:lo + k2 - k1])
 
     if leftover:
         achieved = 2.0 * (tol_integral + leftover)

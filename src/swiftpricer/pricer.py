@@ -16,6 +16,7 @@ from .density import (_BLOCK_ELEMENTS, CoefficientArray, DensityJob,
 from .models import Cumulants, ModelSpec, char_fn, cumulants
 from .payoff import (_end_terms, _moment, em_correction_D,
                      payoff_classic_si_ein, payoff_forward_si_ein)
+from .transform import _cis
 
 DENSITY_STRATEGIES = ("midpoint", "trapezoidal", "filon")
 PAYOFF_STRATEGIES = ("classic", "forward", "em_fft")
@@ -158,15 +159,6 @@ def _check_strikes(strikes) -> np.ndarray:
     if bad.any():
         raise ValueError(f"strike must be finite and >= 0, got {float(K[bad][0])!r}")
     return K
-
-
-def _cis(theta) -> np.ndarray:
-    """e^{i theta} for real theta, filled in place as cos + i sin: about
-    half the time of np.exp(1j * theta)."""
-    out = np.empty(np.shape(theta), dtype=complex)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
-    return out
 
 
 def _classic_window(g: WaveletGrid, z):
@@ -491,6 +483,11 @@ class ReferenceError(RuntimeError):
     pass
 
 
+# reference_put's candidate tail cuts 50, 50 (1.7), 50 (1.7)^2, ...: the 28
+# below 1e8, as repeated products
+_TAIL_CUTS = np.cumprod(np.r_[50.0, np.full(27, 1.7)])
+
+
 def reference_put(model: ModelSpec, K):
     """Independent reference put price by damped Fourier inversion.
 
@@ -505,7 +502,8 @@ def reference_put(model: ModelSpec, K):
     ``K`` may be a scalar (float out) or a 1-D strike array (ndarray out):
     the strikes share every cf evaluation and differ only in e^{i u X}, and
     the tail is cut at the smallest of their budgets.  K = 0 prices an
-    exact 0; a negative or non-finite K raises ``ValueError``.
+    exact 0; a negative or non-finite K raises ``ValueError``, and a price
+    that comes out non-finite raises ``ReferenceError``.
     """
     scalar = np.ndim(K) == 0
     strikes = _check_strikes([K] if scalar else K)
@@ -514,22 +512,28 @@ def reference_put(model: ModelSpec, K):
     live = strikes > 0.0
     if live.any():
         Kl = strikes[live]
-        # tail cut: |integrand| <= |psi(u - i/2)|/u^2, so remainder <= env/U
-        budget = np.min(_REFERENCE_TOL / 10 * np.pi / np.sqrt(F * Kl) * np.maximum(Kl, F * 1e-8))
-        u_max = 50.0
-        while u_max < 1e8:
-            env = np.max(np.abs(char_fn(model, np.array([1.0, 1.3, 1.7]) * u_max - 0.5j)))
-            if env / u_max <= budget or env == 0.0:
-                break
-            u_max *= 1.7
-        else:
-            raise ReferenceError(f"cf tail does not decay below the budget by u = {u_max:.3g}")
+        # sqrt(F) sqrt(K), not sqrt(F K): the product overflows past 1.8e308
+        root_fk = np.sqrt(F) * np.sqrt(Kl)
+        # tail cut: |integrand| <= |psi(u - i/2)|/u^2, so remainder <= env/U;
+        # the first candidate U that meets the budget, with the envelopes
+        # of all of them from one cf call
+        budget = np.min(_REFERENCE_TOL / 10 * np.pi / root_fk * np.maximum(Kl, F * 1e-8))
+        env = np.abs(char_fn(model, np.outer(_TAIL_CUTS, [1.0, 1.3, 1.7]).ravel() - 0.5j))
+        env = env.reshape(-1, 3).max(axis=1)
+        met = np.flatnonzero((env / _TAIL_CUTS <= budget) | (env == 0.0))
+        if not met.size:
+            raise ReferenceError(
+                f"cf tail does not decay below the budget by u = {_TAIL_CUTS[-1] * 1.7:.3g}")
+        u_max = _TAIL_CUTS[met[0]]
         edges = np.unique(np.concatenate([
             np.linspace(0.0, min(u_max, 200.0), 21),
             np.geomspace(max(1.0, min(u_max, 200.0)), u_max, 12),
         ]))
         total = _damped_integral(model, np.log(F / Kl), edges)
-        puts[live] = B * (Kl - np.sqrt(F * Kl) / np.pi * total)
+        puts[live] = B * (Kl - root_fk / np.pi * total)
+        if not np.all(np.isfinite(puts)):
+            bad = float(strikes[~np.isfinite(puts)][0])
+            raise ReferenceError(f"reference price is not finite at strike {bad!r}")
     return float(puts[0]) if scalar else puts
 
 

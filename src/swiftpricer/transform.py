@@ -21,6 +21,15 @@ def _check_pow2(x: np.ndarray) -> int:
     return n
 
 
+def _cis(theta) -> np.ndarray:
+    """e^{i theta} for real theta, filled in place as cos + i sin: about
+    half the time of np.exp(1j * theta)."""
+    out = np.empty(np.shape(theta), dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def inverse_dft(buf) -> np.ndarray:
     """Unscaled inverse DFT: g_l = sum_j f_j e^{+2 pi i l j / n}.
 

@@ -266,6 +266,31 @@ def recursive_filon(model, m, k1, k2, tol, max_depth=40):
     return coeffs, evals[0]
 
 
+def taylor_moments(theta):
+    """m_p = int_0^1 s^p e^{i theta s} ds for p = 0..3: upward recursion for
+    |theta| >= 1/2, below that the 25-term Taylor series as a loop per p,
+    term by term (``density._moments`` sums it as one table product)."""
+    theta = np.asarray(theta, dtype=float)
+    it = 1j * theta
+    eit = np.exp(it)
+    small = np.abs(theta) < 0.5
+    safe = np.where(small, 1.0, it)
+    out = np.empty((4,) + theta.shape, dtype=complex)
+    out[0] = (eit - 1.0) / safe
+    for p in range(1, 4):
+        out[p] = (eit - p * out[p - 1]) / safe
+    if np.any(small):
+        ts = it[small]
+        for p in range(4):
+            acc = np.zeros(ts.shape, dtype=complex)
+            term = np.ones(ts.shape, dtype=complex)
+            for jj in range(0, 25):
+                acc = acc + term / (p + jj + 1)
+                term = term * ts / (jj + 1)
+            out[p][small] = acc
+    return out
+
+
 def black76_put(F, K, T, vol, B=1.0):
     sd = vol * np.sqrt(T)
     d1 = np.log(F / K) / sd + 0.5 * sd

@@ -428,6 +428,17 @@ class TestInitTable:
 
 
 class TestErrorSweep:
+    def test_reference_finite_past_forward_strike_overflow(self, capsys, tmp_path):
+        # F K > 1.8e308: every numeric column, the reference included, finite
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"forward": 1e300, "maturity": 0.077, "discount": 1.0,
+                                    "lognormal": {"vol": 0.28}}))
+        code, out, _ = run_cli(capsys, "error-sweep", "--model", str(path),
+                               *strike_args(1.6e298, 1e300))
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert all(np.isfinite(float(cell)) for row in rows for cell in row[:6])
+
     def test_empty_strike_list_header_only(self, capsys, heston_short_file):
         args = argparse.Namespace(
             model=heston_short_file, strike=[], m=8, J=10, N=None, L=12.0,
@@ -588,6 +599,57 @@ class TestBench:
         assert ("density", "trapezoidal_fft") in tasks
         assert ("density", "filon") in tasks
         assert all(r[5] == "single-sample" for r in rows)
+
+
+def cell_by_cell_csv(rows, header, err_cols):
+    """CSV text written one cell at a time with ``_fmt``/``_fmt_err``."""
+    lines = [",".join(header)] + [
+        ",".join(cli_mod._fmt_err(cell) if name in err_cols else cli_mod._fmt(cell)
+                 for name, cell in zip(header, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvWriter:
+    """The per-column templates write what the per-cell conversion wrote."""
+
+    @pytest.mark.parametrize("argv", [
+        ["table1"], ["price-table"],
+        ["density-table", "--model", "LN", "--m", "6", "--J", "6"],
+        ["init-table", "--model", "HS", "--m", "6", "--J", "6", "--reps", "1"],
+        # a zero strike and one past the truncation (flagged)
+        ["error-sweep", "--model", "HS", "--m", "8", "--J", "11",
+         "--strike", "0", "--strike", "1.0", "--strike", "1.4"],
+        ["bench", "--model", "HS", "--m", "6", "--J", "7", "--reps", "1"],
+    ], ids=["table1", "price-table", "density-table", "init-table", "error-sweep",
+            "bench"])
+    def test_commands_byte_identical(self, capsys, monkeypatch, lognormal_file,
+                                     heston_short_file, argv):
+        argv = [{"LN": lognormal_file, "HS": heston_short_file}.get(a, a) for a in argv]
+        emitted = []
+        real = cli_mod._emit
+
+        def recording(rows, header, err_cols, args):
+            emitted.append((list(rows), header, err_cols))
+            real(rows, header, err_cols, args)
+
+        monkeypatch.setattr(cli_mod, "_emit", recording)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and len(emitted) == 1
+        assert out == cell_by_cell_csv(*emitted[0])
+
+    def test_special_cells_byte_identical(self, capsys):
+        header = ("name", "value", "count", "error", "mixed", "mixed_error", "flag")
+        rows = [
+            ("a", 1.5, 3, 2.5e-17, 0.1, 1e-3, True),
+            ("b%s", float("nan"), np.int64(-7), float("-inf"), "", "", False),
+            ("", np.float64(-0.0), 0, np.float64(3.0), 7, np.int64(2), "x,y"),
+            ("d", float("inf"), 10**20, 0.0, float("nan"), float("inf"), None),
+        ]
+        for rows_ in (rows, rows[:1], []):
+            args = argparse.Namespace(format="csv", out=None)
+            cli_mod._emit(rows_, header, {"error", "mixed_error"}, args)
+            out, _ = capsys.readouterr()
+            assert out == cell_by_cell_csv(rows_, header, {"error", "mixed_error"})
 
 
 # The options each command accepts: those that can change its output.

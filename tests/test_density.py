@@ -6,7 +6,7 @@ import pytest
 from conftest import HESTON_HEAVY, HESTON_SHORT, LOGNORMAL_02, POINT_MASS
 from oracles import (direct_trapezoidal, lognormal_density,
                      quad_density_parseval, quad_density_projection,
-                     recursive_filon)
+                     recursive_filon, taylor_moments)
 import swiftpricer.density as density_mod
 from swiftpricer import (CoefficientArray, DensityJob, FilonConvergenceError,
                          char_fn, density_filon, density_mass,
@@ -108,6 +108,12 @@ class TestVietaDirect:
     def test_rejects_bad_args(self, lognormal):
         with pytest.raises(ValueError):
             density_vieta_direct(lognormal, 0, 0, 5)
+        for k in ([0, 2.5], float("nan")):
+            with pytest.raises(ValueError, match="integers"):
+                density_vieta_direct(lognormal, 6, k, 5)
+        # integral floats index the root table as the integers they equal
+        assert (density_vieta_direct(lognormal, 6, 3.0, 5)
+                == density_vieta_direct(lognormal, 6, 3, 5))
 
     @pytest.mark.parametrize("model", [LOGNORMAL_02, HESTON_SHORT, HESTON_HEAVY])
     def test_array_equals_scalar_calls(self, model, monkeypatch):
@@ -118,6 +124,20 @@ class TestVietaDirect:
         assert isinstance(density_vieta_direct(model, 6, 3, 8), float)
         assert np.array_equal(col, [density_vieta_direct(model, 6, int(k), 8)
                                     for k in ks])
+
+    @pytest.mark.parametrize("model", [LOGNORMAL_02, HESTON_HEAVY])
+    def test_matches_explicit_phases(self, model):
+        # k far outside one period of the roots: the phase is reduced in
+        # integers, against np.exp of the angle as a float
+        m, J = 6, 6
+        ks = np.array([-300, -64, -1, 0, 5, 63, 64, 129, 1000])
+        odd = 2 * np.arange(1, 33) - 1
+        psi = char_fn(model, 2.0**m * np.pi * odd / 2**J)
+        ref = [2.0 ** (m / 2) / 32
+               * np.sum((psi * np.exp(-1j * np.pi * (int(k) * odd % 128) / 64)).real)
+               for k in ks]
+        col = density_vieta_direct(model, m, ks, J)
+        assert np.abs(col - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestTrapezoidal:
@@ -262,7 +282,10 @@ class TestFilon:
         assert np.abs(err.best.values - c.values).max() <= 1e-11
 
     @pytest.mark.parametrize("model", [LOGNORMAL_02, HESTON_SHORT, HESTON_HEAVY])
-    @pytest.mark.parametrize("m,k1,k2", [(6, -128, 128), (8, -512, 512)])
+    # the last two: criterion 9's window, and one whose ends are not on the
+    # k-sum's rows of 16
+    @pytest.mark.parametrize("m,k1,k2", [(6, -128, 128), (8, -512, 512),
+                                         (8, -2048, 2048), (6, -37, 51)])
     def test_matches_recursive_oracle(self, model, m, k1, k2):
         c, n = density_filon(model, m, k1, k2, tol=1e-8)
         c_ref, n_ref = recursive_filon(model, m, k1, k2, tol=1e-8)
@@ -270,6 +293,15 @@ class TestFilon:
         assert n - 4 == 3 * (n_ref - 4) // 5 and (n_ref - 4) % 5 == 0
         scale = np.abs(c_ref.values).max()
         assert np.abs(c.values - c_ref.values).max() <= 1e-14 * scale
+
+    def test_blocked_level_sum_matches_unblocked(self, heston_heavy, monkeypatch):
+        # blocks of 4 panels and 64 k-rows, against one block per level
+        c, n = density_filon(heston_heavy, 8, -1000, 1000, tol=1e-10)
+        monkeypatch.setattr(density_mod, "_BLOCK_ELEMENTS", 4 * 4 * density_mod._K_SPLIT)
+        c_blocked, n_blocked = density_filon(heston_heavy, 8, -1000, 1000, tol=1e-10)
+        assert n_blocked == n
+        scale = np.abs(c.values).max()
+        assert np.abs(c_blocked.values - c.values).max() <= 1e-14 * scale
 
     def test_depth_cap_matches_recursive_oracle(self, heston_heavy, monkeypatch):
         monkeypatch.setattr(density_mod, "_MAX_DEPTH", 2)
@@ -303,6 +335,22 @@ class TestFilon:
         with pytest.raises(FilonConvergenceError):
             density_filon(model, 6, -4, 4, tol=1e-8)
         assert len(sizes) == 1 + deepest
+
+
+class TestMoments:
+    # theta on both sides of the Taylor branch's edges at +-0.5, down to 0
+    THETA = np.concatenate([np.linspace(-0.5, 0.5, 101), [0.5 - 1e-12, -0.5 + 1e-12],
+                            np.linspace(0.5, 4.0, 36), -np.linspace(0.5, 4.0, 36),
+                            [1e-300, -1e-9, 0.0]])
+
+    def test_matches_taylor_loop(self):
+        new, ref = density_mod._moments(self.THETA), taylor_moments(self.THETA)
+        assert new.shape == (4, self.THETA.size)
+        assert np.abs(new - ref).max() <= 1e-15
+
+    def test_zero_frequency_is_exact(self):
+        assert np.array_equal(density_mod._moments(np.zeros(3)),
+                              np.repeat([[1.0], [1 / 2], [1 / 3], [1 / 4]], 3, axis=1))
 
 
 class TestDensityMass:

@@ -572,6 +572,33 @@ class TestReferencePut:
         with pytest.raises(ReferenceError, match="tail"):
             reference_put(frozen, [0.9, 1.0])
 
+    @pytest.mark.parametrize("F,K", [(1e300, 1.6e298), (1e200, 1e200)])
+    def test_forward_times_strike_past_overflow(self, F, K):
+        # F K > 1.8e308 overflows: the put must not pass through sqrt(F K)
+        model = ModelSpec(F, 0.077, 1.0, LognormalParams(vol=0.28))
+        got = reference_put(model, K)
+        assert np.isfinite(got)
+        assert got == pytest.approx(black76_put(F, K, 0.077, 0.28), abs=1e-13 * max(F, K))
+        unit = reference_put(replace(model, forward=1.0), K / F)
+        assert got == pytest.approx(F * unit, abs=1e-14 * max(F, K))
+
+    def test_non_finite_price_raises(self, lognormal, monkeypatch):
+        monkeypatch.setattr(pricer_mod, "_damped_integral",
+                            lambda model, X, edges: np.where(X > 0, np.inf, 0.5))
+        with pytest.raises(ReferenceError, match="not finite at strike 90.0"):
+            reference_put(lognormal, [100.0, 90.0])
+
+    def test_tail_cut_in_one_cf_call(self, monkeypatch):
+        # all candidate cuts in the first call, then one call per
+        # Gauss-Kronrod round: 6 in all on the heavy error-sweep's low end
+        assert pricer_mod._TAIL_CUTS[-1] < 1e8 <= pricer_mod._TAIL_CUTS[-1] * 1.7
+        sizes = record_cf_points(monkeypatch)
+        F = HESTON_HEAVY.forward
+        a, _ = truncation_interval(cumulants(HESTON_HEAVY), 12.0)
+        reference_put(HESTON_HEAVY, [F * np.exp(0.25 * a), F])
+        assert sizes[0] == 3 * len(pricer_mod._TAIL_CUTS)
+        assert len(sizes) == 6
+
     def test_non_finite_panel_raises(self, lognormal, monkeypatch):
         real = pricer_mod.char_fn
 
