@@ -49,16 +49,6 @@ EXPERIMENT_HEAVY = dict(
 )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
-def _fmt_err(x) -> str:
-    return f"{x:.17e}" if isinstance(x, float) else str(x)
-
-
 def _write(text, args):
     """Write text to --out, or to stdout without one."""
     if args.out:
@@ -79,22 +69,18 @@ def _emit(rows, header, err_cols, args):
 
 
 def _csv_lines(rows, header, err_cols):
-    """The header and each row as a CSV line: cell by cell as ``_fmt`` (or
-    ``_fmt_err`` in ``err_cols``) would write it, with the conversion picked
-    once per column and each row written by one %-template."""
-    columns, specs = [], []
+    """The header and each row as a CSV line, each row written by one
+    %-template: a column of floats with 17 significant digits (scientific
+    in ``err_cols``), any other column by ``str``.  A column that mixes
+    floats with other cells raises TypeError."""
+    specs = []
     for name, col in zip(header, zip(*rows)):
         floats = sum(isinstance(cell, float) for cell in col)
-        if floats == len(col):
-            specs.append("%.17e" if name in err_cols else "%.17g")
-        else:
-            if floats:
-                fmt = _fmt_err if name in err_cols else _fmt
-                col = [fmt(cell) for cell in col]
-            specs.append("%s")
-        columns.append(col)
+        if 0 < floats < len(col):
+            raise TypeError(f"CSV column {name!r} mixes floats with other cells")
+        specs.append(("%.17e" if name in err_cols else "%.17g") if floats else "%s")
     template = ",".join(specs)
-    return [",".join(header)] + [template % row for row in zip(*columns)]
+    return [",".join(header)] + [template % tuple(row) for row in rows]
 
 
 def cmd_table1(args) -> int:

@@ -256,8 +256,13 @@ def _level_sum(ts, cs, q, mom) -> np.ndarray:
     With e^{2 pi i k t} = e^{2 pi i _K_SPLIT q t} e^{2 pi i r t} the sum over
     t is one complex product of the q factors, (q x t), with the r factors
     times each cubic coefficient, (t x 4 r), per block of panels and rows.
-    _K_SPLIT q t and r t are exact (t is dyadic), so each angle is reduced
-    mod 1 before its one rounding.
+    t is dyadic, so _K_SPLIT q t and r t are exact while |k| 2^{depth+1} stays
+    below 2^53 (|k| < 2^12 at _MAX_DEPTH) and each angle is reduced mod 1
+    before its one rounding; past that the product is rounded once first.
+
+    The factors of a k do not depend on the rows around it, but the matrix
+    product's summation order may (a one-row block is a matrix-vector
+    product), so windows [k1, k2) agree on a coefficient to rounding.
     """
     mom = mom.reshape(4, q.size, _K_SPLIT)
     r = np.arange(_K_SPLIT)

@@ -602,10 +602,15 @@ class TestBench:
 
 
 def cell_by_cell_csv(rows, header, err_cols):
-    """CSV text written one cell at a time with ``_fmt``/``_fmt_err``."""
+    """CSV text written one cell at a time: a float with 17 significant
+    digits (scientific in ``err_cols``), anything else by ``str``."""
+    def cell_text(name, x):
+        if isinstance(x, float):
+            return f"{x:.17e}" if name in err_cols else f"{x:.17g}"
+        return str(x)
+
     lines = [",".join(header)] + [
-        ",".join(cli_mod._fmt_err(cell) if name in err_cols else cli_mod._fmt(cell)
-                 for name, cell in zip(header, row)) for row in rows]
+        ",".join(cell_text(name, cell) for name, cell in zip(header, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -638,18 +643,23 @@ class TestCsvWriter:
         assert out == cell_by_cell_csv(*emitted[0])
 
     def test_special_cells_byte_identical(self, capsys):
-        header = ("name", "value", "count", "error", "mixed", "mixed_error", "flag")
+        header = ("name", "value", "count", "error", "flag")
         rows = [
-            ("a", 1.5, 3, 2.5e-17, 0.1, 1e-3, True),
-            ("b%s", float("nan"), np.int64(-7), float("-inf"), "", "", False),
-            ("", np.float64(-0.0), 0, np.float64(3.0), 7, np.int64(2), "x,y"),
-            ("d", float("inf"), 10**20, 0.0, float("nan"), float("inf"), None),
+            ("a", 1.5, 3, 2.5e-17, True),
+            ("b%s", float("nan"), np.int64(-7), float("-inf"), False),
+            ("", np.float64(-0.0), 0, np.float64(3.0), "x,y"),
+            ("d", float("inf"), 10**20, 0.0, None),
         ]
         for rows_ in (rows, rows[:1], []):
             args = argparse.Namespace(format="csv", out=None)
-            cli_mod._emit(rows_, header, {"error", "mixed_error"}, args)
+            cli_mod._emit(rows_, header, {"error"}, args)
             out, _ = capsys.readouterr()
-            assert out == cell_by_cell_csv(rows_, header, {"error", "mixed_error"})
+            assert out == cell_by_cell_csv(rows_, header, {"error"})
+
+    @pytest.mark.parametrize("other", ["", 7, None])
+    def test_mixed_float_column_refused(self, other):
+        with pytest.raises(TypeError, match="'value'"):
+            cli_mod._csv_lines([("a", 1.5), ("b", other)], ("name", "value"), set())
 
 
 # The options each command accepts: those that can change its output.

@@ -257,6 +257,18 @@ class TestFilon:
         # same panels imply bit-identical overlapping coefficients
         assert np.array_equal(c_wide.values[lo:lo + 32], c_narrow.values)
 
+    @pytest.mark.parametrize("window", [(3, 9), (0, 1), (-2048, -2032), (1000, 1100)],
+                             ids=["one-row", "one-k", "edge-row", "row-blocks"])
+    def test_window_agrees_with_wide_to_rounding(self, heston_heavy, window):
+        # a one-row window is a matrix-vector product and may round its
+        # sum otherwise; [1000, 1100) straddles the wide window's row blocks
+        c_wide, n_wide = density_filon(heston_heavy, 8, -2048, 2048, tol=1e-13)
+        c, n = density_filon(heston_heavy, 8, *window, tol=1e-13)
+        assert n == n_wide
+        lo = window[0] - c_wide.k1
+        diff = np.abs(c_wide.values[lo:lo + window[1] - window[0]] - c.values)
+        assert diff.max() <= 8 * np.finfo(float).eps * np.abs(c_wide.values).max()
+
     def test_depth_cap_raises_with_best_estimate(self, heston_heavy, monkeypatch):
         monkeypatch.setattr(density_mod, "_MAX_DEPTH", 2)
         with pytest.raises(FilonConvergenceError) as exc_info:
