@@ -106,18 +106,31 @@ def cmd_price(args) -> int:
     t0 = time.perf_counter()
     prices = ctx.price_puts(strikes, args.payoff).tolist()
     share = (time.perf_counter() - t0) / len(strikes)
-    results = [{
-        "strike": K,
-        "price": price,
+    shared = {
         "grid": {"m": grid.m, "k1": grid.k1, "k2": grid.k2, "J": grid.J,
                  "N": grid.N, "a": grid.a, "b": grid.b},
         "density_strategy": args.density,
         "payoff_strategy": args.payoff,
         "cf_evals": ctx.cf_evals,
         "elapsed_seconds": share,
-    } for K, price in zip(strikes, prices)]
-    _write(json.dumps(results if len(results) > 1 else results[0], indent=2) + "\n", args)
+    }
+    _write(_records_json(strikes, prices, shared), args)
     return 0
+
+
+def _records_json(strikes, prices, shared) -> str:
+    """``json.dumps(records, indent=2) + "\\n"`` of the records
+    {"strike": K, "price": p, **shared}, one per strike, a bare object when
+    there is one.  ``shared`` is formatted once; K and p are spliced in by
+    ``float.__repr__``, which is what json writes for a finite float.  Both
+    are finite: price_puts refuses a non-finite strike or price."""
+    pad = "  " if len(strikes) > 1 else ""
+    # '{\n  "grid": ...\n}' without its brace, indented to the record's depth
+    tail = json.dumps(shared, indent=2)[1:].replace("\n", "\n" + pad)
+    head, mid = f'{pad}{{\n{pad}  "strike": ', f',\n{pad}  "price": '
+    body = ",\n".join([head + float.__repr__(K) + mid + float.__repr__(p) + "," + tail
+                        for K, p in zip(strikes, prices)])
+    return f"[\n{body}\n]\n" if pad else body + "\n"
 
 
 def cmd_price_table(args) -> int:
@@ -278,10 +291,63 @@ def build_parser() -> argparse.ArgumentParser:
 # parsing leaves no state in the parser, so main builds it once per process
 _parser = functools.cache(build_parser)
 
+_STRIKE_COMMANDS = {name for name, (_, options) in COMMANDS.items()
+                    if "strike" in options.split()}
+
+
+def _split_strikes(argv):
+    """(strikes, rest): the values of every ``--strike V`` and
+    ``--strike=V`` in argv, in order, and argv without those tokens.  None
+    unless argparse plainly reads each as a strike: a V or a token before
+    ``--strike`` that starts with '-' (an option to argparse, or a negative
+    number), a V that is no float, or a ``--`` (after which argparse reads
+    no option) is left to argparse."""
+    if "--" in argv:
+        return None
+    strikes, rest, i = [], [], 0
+    while i < len(argv):
+        name, eq, value = argv[i].partition("=")
+        if name != "--strike":
+            rest.append(argv[i])
+        elif argv[i - 1].startswith("-") and "=" not in argv[i - 1]:
+            return None
+        else:
+            if not eq:
+                i += 1
+                if i == len(argv) or argv[i].startswith("-"):
+                    return None
+                value = argv[i]
+            try:
+                strikes.append(float(value))
+            except ValueError:
+                return None
+        i += 1
+    return strikes, rest
+
+
+def _parse_args(argv):
+    """``_parser().parse_args(argv)``, with the strikes taken out of argv in
+    one pass first: argparse rescans every option's index for each option,
+    so n strikes cost it O(n^2).  Any other spelling of ``--strike``, and
+    any argv the reduced parse refuses, goes to argparse whole, so the
+    outcome is always argparse's own."""
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    split = _split_strikes(argv) if argv and argv[0] in _STRIKE_COMMANDS else None
+    if split and split[0]:
+        try:
+            args = parser.parse_args(split[1])
+            if args.strike is None:  # no abbreviated --strike was left in
+                args.strike = split[0]
+                return args
+        except ValueError:
+            pass  # reported from the whole argv below
+    return parser.parse_args(argv)
+
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
         if "payoff" in args:
             args.payoff = args.payoff.replace("-", "_")
         return args.fn(args)

@@ -8,10 +8,10 @@ forward-centered log return y = ln(S_T / F), so that E[e^y] = 1
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import factorial
 
 # Convention: the truncation rule uses no fourth cumulant.  The Heston c4
 # has an unwieldy closed form, the rule only needs a rough guess, and the
@@ -160,6 +160,11 @@ def char_fn(model: ModelSpec, u):
     return complex(out[()]) if scalar else out
 
 
+# j! for j = 0..8: the factorials (n + 1)! and (n + 3)!, n = 0..5, of the
+# kappa -> 0 cumulant series
+_FACTORIALS = np.array([math.factorial(j) for j in range(9)], dtype=float)
+
+
 def cumulants(model: ModelSpec) -> Cumulants:
     """Cumulants c1, c2 of y = ln(S_T/F).
 
@@ -182,8 +187,8 @@ def cumulants(model: ModelSpec) -> Cumulants:
         n = np.arange(6.0)
         a = y * y * ((2 ** (n + 2) - n - 3) * v0 - (2 ** (n + 1) - n - 2) * th)
         b = 2 * (n + 3) * (r * y * (n * th - (n + 1) * v0) + (n + 2) * (v0 - th * (n > 0)))
-        c1 = -th * T / 2.0 + (th - v0) * T / 2.0 * np.sum((-x) ** n / factorial(n + 1))
-        c2 = T * np.sum((-x) ** n * (a + b) / (2.0 * factorial(n + 3)))
+        c1 = -th * T / 2.0 + (th - v0) * T / 2.0 * np.sum((-x) ** n / _FACTORIALS[1:7])
+        c2 = T * np.sum((-x) ** n * (a + b) / (2.0 * _FACTORIALS[3:9]))
         return Cumulants(c1=float(c1), c2=float(c2))
     ekt = np.exp(-k * T)
     c1 = -th * T / 2.0 + (th - v0) * (1.0 - ekt) / (2.0 * k)

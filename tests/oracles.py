@@ -6,10 +6,12 @@ the Black-76 closed form, and finite differences of log characteristic
 functions.
 """
 
+import json
 import warnings
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.special import factorial
 from scipy.stats import norm
 
 from swiftpricer import char_fn
@@ -323,3 +325,25 @@ def fd_cumulants(model, char_fn, h=1e-3):
     c2 = (K(h) - 2 * K(0.0) + K(-h)) / (h * h)
     c4 = (K(2 * h) - 4 * K(h) + 6 * K(0.0) - 4 * K(-h) + K(-2 * h)) / h**4
     return c1, c2, c4
+
+
+def heston_cumulant_series(model):
+    """(c1, c2) of the Heston kappa -> 0 cumulant series, with its
+    factorials from scipy.special: the form ``cumulants`` evaluates."""
+    d, T = model.dynamics, model.maturity
+    k, th, s, r, v0 = d.kappa, d.theta, d.sigma, d.rho, d.v0
+    x, y = k * T, s * T
+    n = np.arange(6.0)
+    a = y * y * ((2 ** (n + 2) - n - 3) * v0 - (2 ** (n + 1) - n - 2) * th)
+    b = 2 * (n + 3) * (r * y * (n * th - (n + 1) * v0) + (n + 2) * (v0 - th * (n > 0)))
+    c1 = -th * T / 2.0 + (th - v0) * T / 2.0 * np.sum((-x) ** n / factorial(n + 1))
+    c2 = T * np.sum((-x) ** n * (a + b) / (2.0 * factorial(n + 3)))
+    return float(c1), float(c2)
+
+
+def price_json(strikes, prices, shared):
+    """What ``swiftpricer price`` writes: json.dumps of the records
+    {"strike": K, "price": p, **shared}, one per strike, a bare object when
+    there is one."""
+    results = [{"strike": K, "price": p, **shared} for K, p in zip(strikes, prices)]
+    return json.dumps(results if len(results) > 1 else results[0], indent=2) + "\n"

@@ -2,20 +2,26 @@
 
 import argparse
 import json
+import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import record_cf_points
-from oracles import black76_put
-from swiftpricer import PricingContext, WaveletGrid, model_from_json, reference_put
+from oracles import black76_put, price_json
+from swiftpricer import (PricingContext, WaveletGrid, cumulants, model_from_json,
+                         reference_put)
 import swiftpricer.cli as cli_mod
 import swiftpricer.density as density_mod
 import swiftpricer.payoff as payoff_mod
 import swiftpricer.pricer as pricer_mod
 from swiftpricer.cli import build_parser, cmd_error_sweep, main
-from swiftpricer.pricer import grid_for
+from swiftpricer.pricer import DENSITY_STRATEGIES, grid_for
 
 TABLE1_EXPECTED = {
     "Vieta J=5": -0.0555195115435162,
@@ -34,6 +40,10 @@ def run_cli(capsys, *argv):
 
 def strike_args(*strikes):
     return [arg for K in strikes for arg in ("--strike", repr(K))]
+
+
+def mask_elapsed(text):
+    return re.sub(r'"elapsed_seconds": [^,\n]*', '"elapsed_seconds": 0', text)
 
 
 def record_grids(monkeypatch):
@@ -349,6 +359,52 @@ class TestGridDomain:
         assert err.startswith("numerical failure: " if code == 2 else "error: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert sizes == cf_points
+
+
+def chain_strikes(model, count, seed):
+    """``count`` seeded strikes F exp(c1 + u sqrt(c2)), u ~ U(-3, 3)."""
+    c = cumulants(model)
+    u = np.random.default_rng(seed).uniform(-3.0, 3.0, count)
+    return (model.forward * np.exp(c.c1 + u * math.sqrt(c.c2))).tolist()
+
+
+class TestPriceJson:
+    """price writes, byte for byte, what json.dumps(results, indent=2) writes."""
+
+    @pytest.mark.parametrize("case", ["one", "chain", "edges", "huge"])
+    @pytest.mark.parametrize("payoff", ["classic", "forward", "em-fft"])
+    @pytest.mark.parametrize("density", DENSITY_STRATEGIES)
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_byte_identical(self, capsys, tmp_path, lognormal_file, case, payoff,
+                            density, to_file):
+        model_file = lognormal_file
+        if case == "huge":  # F and K at 1e300, where F K overflows
+            model_file = str(tmp_path / "huge.json")
+            Path(model_file).write_text(json.dumps({
+                "forward": 1e300, "maturity": 0.077, "discount": 1.0,
+                "lognormal": {"vol": 0.28}}))
+        model = model_from_json(model_file)
+        strikes = {"one": [90.0], "chain": chain_strikes(model, 200, 22),
+                   "edges": [0.0, -0.0, 1e-300, 100.0],
+                   "huge": [1.6e298, 1e300, 3.0e300]}[case]
+        out_path = tmp_path / "price.json"
+        argv = ["price", "--model", model_file, "--payoff", payoff, "--density", density,
+                *strike_args(*strikes), *(["--out", str(out_path)] if to_file else [])]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        if to_file:
+            assert out == ""
+            out = out_path.read_text()
+        route = payoff.replace("-", "_")
+        grid = grid_for(model, strikes=strikes if route == "classic" else None)
+        ctx = PricingContext(model, grid, density)
+        prices = ctx.price_puts(strikes, route).tolist()
+        shared = {"grid": {"m": grid.m, "k1": grid.k1, "k2": grid.k2, "J": grid.J,
+                           "N": grid.N, "a": grid.a, "b": grid.b},
+                  "density_strategy": density, "payoff_strategy": route,
+                  "cf_evals": ctx.cf_evals, "elapsed_seconds": 0.0}
+        assert mask_elapsed(out) == mask_elapsed(price_json(strikes, prices, shared))
+        assert out.startswith("{" if len(strikes) == 1 else "[")
 
 
 class TestPriceTable:
@@ -784,8 +840,104 @@ class TestParser:
         # the last price has no --strike: one result, at the forward
         assert json.loads(alone[-1][1])["strike"] == 100.0
 
+    @pytest.mark.parametrize("argv", [
+        ["price", "--model", "LN", "--strike", "90", "--strike", "110"],
+        ["price", "--model", "LN", "--strike=90", "--strike", "110"],
+        # abbreviations, mixed with the full forms, in order
+        ["price", "--model", "LN", "--str", "95", "--s", "90", "--strike=110",
+         "--strike", "100"],
+        ["price", "--strike", "90", "--model", "LN", "--s=110", "--strike", "100",
+         "--m", "5"],
+        ["price", "--model", "LN", "--strike", "-1"],
+        ["price", "--model", "LN", "--strike", "nan"],
+        ["price", "--model", "LN", "--strike", "-0.0", "--strike=-.5e-300"],
+        # float() reads these, argparse takes them for options
+        ["price", "--model", "LN", "--strike", "-1e5"],
+        ["price", "--model", "LN", "--strike", "-inf"],
+        ["price", "--model", "LN", "--strike", "abc"],
+        ["price", "--model", "LN", "--strike", "90", "--strike"],
+        ["price", "--model", "LN", "--strike", "--m", "4"],
+        # --strike where the option before it wants its value
+        ["price", "--model", "--strike", "90", "LN"],
+        ["price", "--model", "LN", "--out", "--strike", "90"],
+        # after --, argparse reads no option
+        ["price", "--model", "LN", "--strike", "90", "--", "--strike", "110"],
+        ["price", "--model", "LN", "--strike", "90", "--m", "abc"],
+        ["price", "--model", "LN", "--strike", "90", "stray"],
+        ["price", "--model", "LN", "--payoff", "em-fft"],
+        ["density-table", "--model", "LN", "--m", "6", "--J", "6", "--strike", "1"],
+        ["error-sweep", "--model", "LN", "--strike", "90", "--strike", "110"],
+    ])
+    def test_strike_parse_matches_argparse(self, capsys, monkeypatch, lognormal_file, argv):
+        argv = [lognormal_file if a == "LN" else a for a in argv]
+
+        def plain(argv):
+            return build_parser().parse_args(argv)
+
+        def parsed(parse):
+            try:
+                return sorted((k, repr(v)) for k, v in vars(parse(argv)).items())
+            except ValueError as exc:
+                return str(exc)
+
+        def outcome():
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0 or code == 1 and single_error_line(err)
+            return code, mask_elapsed(out), err
+
+        assert parsed(cli_mod._parse_args) == parsed(plain)
+        ran = outcome()
+        monkeypatch.setattr(cli_mod, "_parse_args", plain)
+        assert ran == outcome()
+
+    def test_plain_strikes_never_reach_argparse(self, monkeypatch, lognormal_file):
+        parser, seen = build_parser(), []
+        real = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda argv: seen.append(argv) or real(argv))
+        monkeypatch.setattr(cli_mod, "_parser", lambda: parser)
+        strikes = np.linspace(50.0, 150.0, 200).tolist()
+        argv = ["price", "--model", lognormal_file, *strike_args(*strikes), "--m", "5"]
+        args = cli_mod._parse_args(argv)
+        assert args.strike == strikes and args.m == 5
+        assert seen == [["price", "--model", lognormal_file, "--m", "5"]]
+
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "t1.csv"
         code = main(["table1", "--out", str(out_path)])
         assert code == 0
         assert out_path.read_text().startswith("method,value")
+
+
+class TestScipyImports:
+    """scipy is imported by the functions that call it, not by the CLI.  In
+    a fresh interpreter: the test process has loaded scipy already."""
+
+    SCRIPT = """
+import contextlib, io, sys
+from swiftpricer import specfun
+from swiftpricer.cli import main
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv[:1], "--model", sys.argv[1], *argv[1:]]) == 0
+    return sorted(m for m in ("scipy.special", "scipy.fft") if m in sys.modules)
+
+print(run("price", "--payoff", "em-fft", "--strike", "90", "--strike", "110"))
+print(run("density-table", "--m", "6", "--J", "6"))
+print(run("init-table", "--m", "6", "--J", "6", "--reps", "1"))
+print(run("error-sweep", "--strike", "90"))
+import scipy.special
+specfun.si(1.0), specfun.ein(3.0 + 4.0j)  # |w| <= 50 calls exp1
+print(specfun.exp1 is scipy.special.exp1, specfun.sici is scipy.special.sici)
+"""
+
+    def test_only_the_si_ein_routes_load_scipy_special(self, lognormal_file):
+        src = str(Path(cli_mod.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, lognormal_file],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        # each wrapper binds scipy's function on its first call
+        assert proc.stdout.splitlines() == ["[]", "[]", "[]", "['scipy.special']",
+                                            "True True"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import HESTON_HEAVY, HESTON_SHORT, LOGNORMAL_02
-from oracles import fd_cumulants, naive_heston_cf
+from oracles import fd_cumulants, heston_cumulant_series, naive_heston_cf
 from swiftpricer import (HestonParams, LognormalParams, ModelSpec, char_fn,
                          cumulants, model_from_dict, model_from_json)
 from swiftpricer.density import _nodes
@@ -191,6 +191,18 @@ class TestCumulants:
         y = 0.5 * T
         assert c.c2 == pytest.approx(0.04 * T * (1 + 0.7 * y / 2 + y * y / 12),
                                      rel=1e-15)
+
+    def test_series_factorials_match_scipy(self):
+        # the kappa -> 0 series divides by a math.factorial table; with
+        # scipy.special.factorial it gives the same bits
+        models = [replace(base, dynamics=replace(base.dynamics, kappa=kappa))
+                  for base in (HESTON_SHORT, HESTON_HEAVY)
+                  for kappa in (0.0, 1e-12, 1e-7, 1e-5, 5e-4 * (1 - 1e-12) / base.maturity)]
+        models += [model for model in HESTON_SWEEP if model.dynamics.kappa == 0.0]
+        for model in models:
+            assert model.dynamics.kappa * model.maturity < 5e-4
+            c = cumulants(model)
+            assert (c.c1, c.c2) == heston_cumulant_series(model), model
 
     @pytest.mark.parametrize("base", [HESTON_SHORT, HESTON_HEAVY])
     def test_continuous_at_series_switch(self, base):
