@@ -19,7 +19,7 @@ from .pricer import (GridSelectionError, PricingContext, PricingResult,
                      ReferenceError, WaveletGrid, auto_grid, reference_put,
                      select_k_range, select_scale, truncation_interval)
 from .specfun import ein, exp_sin_integral, si
-from .transform import dct2_via_fft, dst2_via_fft, inverse_dft
+from .transform import dct2_via_fft, dst2_via_fft
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,7 @@ __all__ = [
     "WaveletGrid", "auto_grid", "char_fn", "cumulants", "dct2_via_fft", "density_filon",
     "density_mass", "density_midpoint_fft", "density_trapezoidal_fft",
     "density_vieta_direct", "dst2_via_fft", "ein", "em_correction_D",
-    "exp_sin_integral", "inverse_dft", "model_from_dict", "model_from_json",
+    "exp_sin_integral", "model_from_dict", "model_from_json",
     "payoff_classic_si_ein", "payoff_classic_simpson", "payoff_classic_vieta",
     "payoff_fft_euler_maclaurin", "payoff_forward_si_ein", "reference_put",
     "select_k_range", "select_scale", "si", "truncation_interval",

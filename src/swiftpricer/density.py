@@ -6,10 +6,10 @@ Three strategies compute the half-line Parseval integral
 
 with fhat(x) = psi(-x):
 
-  * midpoint rule + one inverse FFT (equivalent to the cosine expansion
+  * midpoint rule + one real inverse FFT (equivalent to the cosine expansion
     obtained from Vieta's formula, which density_vieta_direct evaluates
     term by term as the per-coefficient oracle),
-  * trapezoidal rule + one inverse FFT (same node budget, usually several
+  * trapezoidal rule + one real inverse FFT (same node budget, usually several
     times more accurate),
   * adaptive Filon quadrature with a cubic interpolant per panel and
     analytic oscillatory moments (few cf evaluations, shared across k).
@@ -123,16 +123,18 @@ def _coefficients(k1: int, values: np.ndarray) -> CoefficientArray:
 
 
 def _density_fft(job: DensityJob, offset: int, fhat=None) -> CoefficientArray:
-    """c_{m,k} from one inverse DFT over the nodes t_j = (2j + offset)/(2n),
-    n = 2^J, j < 2^{J-1}: offset 0 is the trapezoidal rule (half weight on
-    the first node), offset 1 the midpoint rule.
+    """c_{m,k} from one real inverse DFT over the nodes t_j = (2j + offset)/(2n),
+    n = 2^J, j < 2^{J-1}: offset 0 is the trapezoidal rule, offset 1 the
+    midpoint rule.
 
-    Loading: f_j = fhat(2^m pi (2j+offset)/n) at slot j of a transform of
-    size n, or, for the midpoint rule, whose nodes are the odd nodes of the
-    next trapezoidal level, at slot 2j+1 of a transform of size 2n; every
-    other slot is zero.  c_k is read at k mod the transform size, the sum's
-    period, so no phase shifts it.  ``fhat`` holds the f_j's cf values when
-    the caller has them already; it is not modified.
+    Loading: f_j = fhat(2^m pi (2j+offset)/n) goes to slot j of the half
+    spectrum of a real signal of length n, or, for the midpoint rule, whose
+    nodes are the odd nodes of the next trapezoidal level, to slot 2j+1 of
+    one of length 2n; every other slot is zero.  The signal is twice the
+    rule's real sum: its DC term has the trapezoidal weight 1/2 built in.
+    c_k is read at k mod the signal length, the sum's period, so no phase
+    shifts it.  ``fhat`` holds the f_j's cf values when the caller has them
+    already; it is not modified.
     """
     n = 1 << job.J
     nh = n >> 1
@@ -141,21 +143,19 @@ def _density_fft(job: DensityJob, offset: int, fhat=None) -> CoefficientArray:
     elif np.shape(fhat) != (nh,):
         raise ValueError(f"fhat must hold the 2^(J-1) = {nh} node values, "
                          f"got shape {np.shape(fhat)}")
-    buf = np.zeros(n << offset, dtype=complex)
-    buf[offset::1 + offset][:nh] = fhat
-    if offset == 0:
-        buf[0] *= 0.5
-    g = inverse_dft(buf)[np.arange(job.k1, job.k2) % buf.size]
-    return _coefficients(job.k1, 2.0 ** (job.m / 2.0) / nh * g.real)
+    half = np.zeros((nh << offset) + 1, dtype=complex)
+    half[offset::1 + offset][:nh] = fhat
+    x = inverse_dft(half)
+    return _coefficients(job.k1, 2.0 ** (job.m / 2.0) / n * x[np.arange(job.k1, job.k2) % x.size])
 
 
 def density_midpoint_fft(job: DensityJob) -> CoefficientArray:
-    """c_{m,k} by the midpoint rule, one inverse DFT of size 2^{J+1}."""
+    """c_{m,k} by the midpoint rule, one real inverse DFT of length 2^{J+1}."""
     return _density_fft(job, 1)
 
 
 def density_trapezoidal_fft(job: DensityJob, fhat=None) -> CoefficientArray:
-    """c_{m,k} by the trapezoidal rule, one inverse DFT of size 2^J.
+    """c_{m,k} by the trapezoidal rule, one real inverse DFT of length 2^J.
 
     ``fhat``, if given, is fhat on the rule's nodes 2^m pi j/2^{J-1},
     j < 2^{J-1} (``_trapezoidal_fhat``), and is used instead of a cf call.

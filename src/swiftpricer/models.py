@@ -84,6 +84,8 @@ class Cumulants:
     c2: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.c1) and np.isfinite(self.c2)):
+            raise ValueError(f"cumulants must be finite, got c1 = {self.c1}, c2 = {self.c2}")
         if self.c2 < 0:
             raise ValueError(f"c2 must be >= 0, got {self.c2}")
 
@@ -192,21 +194,21 @@ def cumulants(model: ModelSpec) -> Cumulants:
         return Cumulants(c1=float(c1), c2=float(c2))
     ekt = np.exp(-k * T)
     c1 = -th * T / 2.0 + (th - v0) * (1.0 - ekt) / (2.0 * k)
-    e1 = np.exp(k * T)
-    e2 = np.exp(2.0 * k * T)
+    # the closed form's bracket times e^{-2 kappa T}: no e^{kappa T} to overflow
+    e2 = np.exp(-2.0 * k * T)
     term_th = th * (
-        2.0 * T * k * (4.0 * k * k - 4.0 * k * r * s + s * s) * e2
-        + s * s
-        + (-8.0 * k * k + 16.0 * k * r * s - 5.0 * s * s) * e2
+        2.0 * T * k * (4.0 * k * k - 4.0 * k * r * s + s * s)
+        + s * s * e2
+        + (-8.0 * k * k + 16.0 * k * r * s - 5.0 * s * s)
         + 4.0 * (-2.0 * T * k * k * r * s + T * k * s * s
-                 + 2.0 * k * k - 4.0 * k * r * s + s * s) * e1
+                 + 2.0 * k * k - 4.0 * k * r * s + s * s) * ekt
     )
     term_v0 = 2.0 * v0 * (
-        4.0 * k * k * e2 - 4.0 * k * r * s * e2
-        + 2.0 * k * (2.0 * T * k * r * s - T * s * s - 2.0 * k + 2.0 * r * s) * e1
-        + s * s * e2 - s * s
+        4.0 * k * k - 4.0 * k * r * s
+        + 2.0 * k * (2.0 * T * k * r * s - T * s * s - 2.0 * k + 2.0 * r * s) * ekt
+        + s * s - s * s * e2
     )
-    c2 = (term_th + term_v0) * np.exp(-2.0 * k * T) / (8.0 * k**3)
+    c2 = (term_th + term_v0) / (8.0 * k**3)
     return Cumulants(c1=float(c1), c2=float(c2))
 
 

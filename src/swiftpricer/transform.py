@@ -1,11 +1,7 @@
-"""Power-of-two transforms: unscaled inverse DFT (numpy's FFT), DCT-II and
-DST-II (scipy.fft, each one FFT of the same size), and the combined
-cosine+sine sum of the payoff coefficients at any integer frequency (one
-inverse DFT of twice the size).
-
-scipy.fft is imported inside the DCT and DST, on their first call: no
-pricing path calls them, and the import costs a fresh process ~0.2 s and
-~25 MB of resident memory (2-vCPU VM).
+"""Power-of-two transforms, all through one unscaled real inverse DFT
+(numpy's irfft): the combined cosine+sine sum of the payoff coefficients at
+any integer frequency (one real inverse DFT of four times the size), and
+DCT-II and DST-II, its cosine and sine parts on k < N.
 """
 
 from __future__ import annotations
@@ -13,12 +9,13 @@ from __future__ import annotations
 import numpy as np
 
 
-def _check_pow2(x: np.ndarray) -> int:
-    """The length of ``x``, refused unless ``x`` is 1-D of power-of-two
-    length (each transform runs along the last axis)."""
+def _check_pow2(x: np.ndarray, half: bool = False) -> int:
+    """The signal length of ``x``: len(x), or 2 (len(x) - 1) for a half
+    spectrum; refused unless ``x`` is 1-D and that length a power of two
+    (each transform runs along the last axis)."""
     if x.ndim != 1:
         raise ValueError(f"input must be 1-D, got shape {x.shape}")
-    n = x.shape[0]
+    n = 2 * (x.shape[0] - 1) if half else x.shape[0]
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"length must be a power of two, got {n}")
     return n
@@ -33,41 +30,40 @@ def _cis(theta) -> np.ndarray:
     return out
 
 
-def inverse_dft(buf) -> np.ndarray:
-    """Unscaled inverse DFT: g_l = sum_j f_j e^{+2 pi i l j / n}.
+def inverse_dft(half) -> np.ndarray:
+    """Unscaled real inverse DFT: x_l = sum_{j<n} X_j e^{+2 pi i l j / n}
+    of the real length-n signal whose half spectrum X_0 .. X_{n/2} is
+    ``half`` (X_{n-j} = conj X_j; the imaginary parts of X_0 and X_{n/2}
+    are ignored).
 
-    Input must be 1-D of power-of-two length.  Out-of-place: the input buffer
-    is never modified.
+    n = 2 (len(half) - 1) must be a power of two.  Out-of-place: the input
+    buffer is never modified.
     """
-    f = np.asarray(buf, dtype=complex)
-    _check_pow2(f)
-    return np.fft.ifft(f, norm="forward")
+    X = np.asarray(half, dtype=complex)
+    return np.fft.irfft(X, _check_pow2(X, half=True), norm="forward")
 
 
 def dct2_via_fft(a) -> np.ndarray:
-    """DCT-II: a_hat_k = sum_j a_j cos(pi k (j+1/2)/N), one FFT of size N."""
-    from scipy.fft import dct
+    """DCT-II: a_hat_k = sum_j a_j cos(pi k (j+1/2)/N), the cosine part of
+    ``cos_sin_sum`` on k < N."""
     a = np.asarray(a, dtype=float)
-    _check_pow2(a)
-    return 0.5 * dct(a, type=2)
+    return cos_sin_sum(a, np.zeros_like(a), np.arange(a.size))
 
 
 def dst2_via_fft(b) -> np.ndarray:
-    """DST-II: b_hat_k = sum_j b_j sin(pi k (j+1/2)/N), one FFT of size N."""
-    from scipy.fft import dst
+    """DST-II: b_hat_k = sum_j b_j sin(pi k (j+1/2)/N), the sine part of
+    ``cos_sin_sum`` on k < N."""
     b = np.asarray(b, dtype=float)
-    _check_pow2(b)
-    # scipy's row j is frequency j+1; frequency 0 is identically zero
-    return np.concatenate([[0.0], 0.5 * dst(b, type=2)[:-1]])
+    return cos_sin_sum(np.zeros_like(b), b, np.arange(b.size))
 
 
 def cos_sin_sum(a, b, k_range) -> np.ndarray:
     """sum_j a_j cos(pi k (j+1/2)/N) + b_j sin(pi k (j+1/2)/N) for each k.
 
     ``k_range`` is any iterable of integers, negative and >= N allowed.
-    The sum is Re[e^{i pi k/(2N)} g_k] with g the inverse DFT of a - i b
-    zero-padded to 2N; g has period 2N in k, and k = r + 2N q, 0 <= r < 2N,
-    turns the phase by (-1)^q.
+    The sum is Re sum_j (a_j - i b_j) e^{2 pi i k (2j+1)/(4N)}: half the
+    real inverse DFT of length 4N whose half spectrum holds a_j - i b_j at
+    the odd slot 2j+1, read at k mod 4N, the sum's period.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -76,6 +72,6 @@ def cos_sin_sum(a, b, k_range) -> np.ndarray:
     n = _check_pow2(a)
     ks = np.asarray(list(k_range) if not isinstance(k_range, np.ndarray) else k_range,
                     dtype=np.int64)
-    g = inverse_dft(np.concatenate([a - 1j * b, np.zeros(n)]))
-    q, r = np.divmod(ks, 2 * n)
-    return (1 - 2 * (q & 1)) * (np.exp(1j * np.pi * r / (2 * n)) * g[r]).real
+    half = np.zeros(2 * n + 1, dtype=complex)
+    half[1::2] = a - 1j * b
+    return 0.5 * inverse_dft(half)[ks % (4 * n)]

@@ -926,6 +926,12 @@ print(run("price", "--payoff", "em-fft", "--strike", "90", "--strike", "110"))
 print(run("density-table", "--m", "6", "--J", "6"))
 print(run("init-table", "--m", "6", "--J", "6", "--reps", "1"))
 print(run("error-sweep", "--strike", "90"))
+print(run("bench", "--reps", "1"))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["table1"]) == 0 and main(["price-table"]) == 0
+from swiftpricer.transform import cos_sin_sum, dct2_via_fft, dst2_via_fft
+dct2_via_fft([1.0, 2.0]), dst2_via_fft([1.0, 2.0]), cos_sin_sum([1.0], [2.0], [0, 5])
+print(sorted(m for m in ("scipy.special", "scipy.fft") if m in sys.modules))
 import scipy.special
 specfun.si(1.0), specfun.ein(3.0 + 4.0j)  # |w| <= 50 calls exp1
 print(specfun.exp1 is scipy.special.exp1, specfun.sici is scipy.special.sici)
@@ -940,4 +946,5 @@ print(specfun.exp1 is scipy.special.exp1, specfun.sici is scipy.special.sici)
         assert proc.returncode == 0, proc.stderr
         # each wrapper binds scipy's function on its first call
         assert proc.stdout.splitlines() == ["[]", "[]", "[]", "['scipy.special']",
+                                            "['scipy.special']", "['scipy.special']",
                                             "True True"]

@@ -8,8 +8,11 @@ import pytest
 
 from conftest import HESTON_HEAVY, HESTON_SHORT, LOGNORMAL_02
 from oracles import fd_cumulants, heston_cumulant_series, naive_heston_cf
-from swiftpricer import (HestonParams, LognormalParams, ModelSpec, char_fn,
-                         cumulants, model_from_dict, model_from_json)
+from swiftpricer import (CoefficientArray, Cumulants, DensityJob, HestonParams,
+                         LognormalParams, ModelSpec, PayoffJob, PricingContext, auto_grid,
+                         char_fn, cumulants, density_filon, em_correction_D,
+                         model_from_dict, model_from_json, payoff_classic_si_ein,
+                         payoff_forward_si_ein, reference_put)
 from swiftpricer.density import _nodes
 
 # pinned by two independent high-precision routes: a 40-digit evaluation of
@@ -62,6 +65,37 @@ class TestValidation:
                          ' "lognormal": {"vol": Infinity}}')
         with pytest.raises(ValueError, match="vol"):
             model_from_dict(doc)
+
+
+PAYOFF_JOB = dict(K=1.0, F=1.0, m=4, a=-1.0, b=1.0, k1=-16, k2=16, N=32)
+HESTON = dict(v0=0.1, kappa=1.0, theta=0.1, sigma=1.0, rho=0.0)
+
+# (constructor or call, its arguments, the refusal's message)
+REFUSALS = {
+    "coefficients_empty": (CoefficientArray, (0, np.array([])), "non-empty 1-D"),
+    "coefficients_2d": (CoefficientArray, (0, np.ones((2, 2))), "non-empty 1-D"),
+    "density_job_J": (DensityJob, (LOGNORMAL_02, 4, 0, -1, 1), "J must be >= 1"),
+    "density_job_k": (DensityJob, (LOGNORMAL_02, 4, 4, 3, 3), "need k1 < k2"),
+    "filon_m": (density_filon, (LOGNORMAL_02, 0, -4, 4, 1e-8), "m must be >= 1"),
+    "filon_k": (density_filon, (LOGNORMAL_02, 4, 4, 4, 1e-8), "need k1 < k2"),
+    "heston_theta": (lambda: HestonParams(**{**HESTON, "theta": -0.1}), (),
+                     "theta must be >= 0"),
+    "cumulants_c2": (Cumulants, (0.0, -1.0), "c2 must be >= 0"),
+    "cumulants_c1_nan": (Cumulants, (float("nan"), 1.0), "cumulants must be finite"),
+    "cumulants_c2_inf": (Cumulants, (0.0, float("inf")), "cumulants must be finite"),
+    "classic_m": (payoff_classic_si_ein, (1.0, 0, np.arange(4), -1.0), "m must be >= 1"),
+    "forward_m": (payoff_forward_si_ein, (1.0, 1.0, 0, np.arange(4), -1.0),
+                  "m must be >= 1"),
+    "em_correction_m": (em_correction_D, (0, -1.0, 0.0), "m must be >= 1"),
+    "payoff_job_m": (lambda: PayoffJob(**{**PAYOFF_JOB, "m": 0}), (), "m must be >= 1"),
+    "payoff_job_k": (lambda: PayoffJob(**{**PAYOFF_JOB, "k2": -16}), (), "need k1 < k2"),
+}
+
+
+@pytest.mark.parametrize("fn, args, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
 
 
 class TestCharFn:
@@ -203,6 +237,23 @@ class TestCumulants:
             assert model.dynamics.kappa * model.maturity < 5e-4
             c = cumulants(model)
             assert (c.c1, c.c2) == heston_cumulant_series(model), model
+
+    @pytest.mark.parametrize("kappa, T", [(50.0, 10.0), (400.0, 1.0), (1000.0, 1.0),
+                                          (2.0, 400.0)])
+    def test_large_kappa_T(self, kappa, T):
+        # past kappa T = 354.9, e^{2 kappa T} overflows: c2 is formed from
+        # e^{-kappa T} and e^{-2 kappa T} only, and the model prices
+        model = ModelSpec(1.0, T, 1.0, HestonParams(v0=0.04, kappa=kappa, theta=0.04,
+                                                    sigma=0.5, rho=-0.5))
+        c = cumulants(model)
+        fd1, fd2, _ = fd_cumulants(model, char_fn)
+        assert c.c1 == pytest.approx(fd1, rel=1e-6, abs=1e-10)
+        # the difference quotient itself is off by 2.6e-4 at kappa = 1000:
+        # the cf's ~1e-11 relative rounding near u = 0 is divided by h^2 =
+        # 1e-6 (in 60-digit arithmetic it matches c2 to 1e-13)
+        assert c.c2 == pytest.approx(fd2, rel=1e-3)
+        put = PricingContext(model, auto_grid(model)).price_puts([1.0], "em_fft")[0]
+        assert put == pytest.approx(reference_put(model, 1.0), abs=1e-9)
 
     @pytest.mark.parametrize("base", [HESTON_SHORT, HESTON_HEAVY])
     def test_continuous_at_series_switch(self, base):
