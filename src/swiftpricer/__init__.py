@@ -3,8 +3,8 @@
 The price of a put is B(t,T) sum_k c_{m,k} V_{m,k}, with density
 coefficients c_{m,k} computed from the characteristic function (midpoint
 FFT, trapezoidal FFT, or adaptive Filon quadrature) and payoff
-coefficients V_{m,k} from Si/Ein closed forms or an Euler-Maclaurin
-corrected cosine sum evaluated by FFT.
+coefficients V_{m,k} from Si/Ein closed forms; or (em_fft) the Parseval
+sum of the payoff transform against the cf on the density's own nodes.
 """
 
 from .density import (CoefficientArray, DensityJob, FilonConvergenceError,

@@ -31,6 +31,9 @@ from .pricer import (DENSITY_STRATEGIES, FILON_TOL, PAYOFF_STRATEGIES,
 # window above which error-sweep flags a row window_uncovered
 MASS_TOL = 1e-8
 
+# density-table's cap on (k2 - k1) 2^(J-1), the heavy reference auto grid's
+_MAX_VIETA_TERMS = 1 << 30
+
 # The two Heston experiment configurations used by the built-in tables.
 # The quoted-price tables pair the short-maturity dynamics with F = 1 and
 # the heavy-tail dynamics with F = 1e6; the tabulated strikes are the
@@ -99,8 +102,8 @@ def cmd_price(args) -> int:
     model = model_from_json(args.model)
     strikes = args.strike or [model.forward]
     # the classic payoff's window moves with the strike: cover each one
-    grid = grid_for(model, args.m, args.J, args.N, args.L, args.mass_tol,
-                    strikes if args.payoff == "classic" else None)
+    grid = grid_for(model, args.m, args.J, L=args.L, mass_tol=args.mass_tol,
+                    strikes=strikes if args.payoff == "classic" else None)
     ctx = PricingContext(model, grid, args.density)
     # one call prices every strike; each reports its share of the elapsed time
     t0 = time.perf_counter()
@@ -155,6 +158,10 @@ def cmd_price_table(args) -> int:
 def cmd_density_table(args) -> int:
     model = model_from_json(args.model)
     grid = grid_for(model, args.m, args.J, L=args.L, mass_tol=args.mass_tol)
+    terms = (grid.k2 - grid.k1) << (grid.J - 1)
+    if terms > _MAX_VIETA_TERMS:
+        raise ValueError(f"the vieta_direct column needs (k2 - k1) 2^(J-1) = {terms} "
+                         f"terms, over 2^30; choose a smaller grid with --m/--J")
     job = DensityJob(model, grid.m, grid.J, grid.k1, grid.k2)
     mid = density_midpoint_fft(job)
     trap = density_trapezoidal_fft(job)
@@ -262,7 +269,7 @@ OPTIONS = {
     "reps": dict(type=int, default=3),
 }
 COMMANDS = {
-    "price": (cmd_price, "model strike m J N L mass-tol density payoff out"),
+    "price": (cmd_price, "model strike m J L mass-tol density payoff out"),
     "table1": (cmd_table1, "out format"),
     "price-table": (cmd_price_table, "payoff out format"),
     "density-table": (cmd_density_table, "model m J L mass-tol out format"),

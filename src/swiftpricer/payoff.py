@@ -7,10 +7,10 @@ Three routes:
     z = ln(K/F), which keeps every coefficient usable for any strike
     inside the truncation,
   * midpoint cosine sum with the second Euler-Maclaurin endpoint
-    correction, evaluated for all k at once with one inverse DFT of size 2N.
+    correction for all k by one real inverse DFT; no pricing route uses it.
 
 The two closed forms are one integral on two windows (``_si_ein``); the
-cosine sums take their moments from one complex closed form (``_moment``).
+cosine sums and em_fft pricing take moments from one form (``_moment``).
 
 All sign conventions below were fixed against adaptive quadrature of the
 defining integrals, the arbiter of every closed form here.

@@ -1,5 +1,6 @@
-"""Option pricing: assemble density and payoff coefficients, choose the
-grid, and provide the independent reference pricer used for error columns.
+"""Option pricing: assemble density and payoff coefficients, or price by
+the Parseval sum on the density's nodes (em_fft), choose the grid, and
+provide the independent reference pricer used for error columns.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from .density import (_BLOCK_ELEMENTS, CoefficientArray, DensityJob,
                       _trapezoidal_fhat, density_filon, density_midpoint_fft,
                       density_trapezoidal_fft)
 from .models import Cumulants, ModelSpec, char_fn, cumulants
-from .payoff import (_end_terms, _moment, em_correction_D,
-                     payoff_classic_si_ein, payoff_forward_si_ein)
+from .payoff import _end_terms, payoff_classic_si_ein, payoff_forward_si_ein
 from .transform import _cis
 
 DENSITY_STRATEGIES = ("midpoint", "trapezoidal", "filon")
@@ -46,10 +46,10 @@ class WaveletGrid:
     b: float
     L: float | None = None
     # The last wide job of the auto_grid search that chose this grid, with
-    # its coefficients, for PricingContext to slice instead of redoing the
-    # FFT.  Only ``_grid`` sets it, for auto_grid and grid_for; it is not
-    # compared, not shown and not carried over by ``replace``.
-    _search: tuple[DensityJob, CoefficientArray] | None = field(
+    # its coefficients and fhat, for PricingContext to reuse instead of
+    # redoing the cf call and FFT.  Only ``_grid`` sets it, for auto_grid and
+    # grid_for; it is not compared, not shown and not carried over by ``replace``.
+    _search: tuple[DensityJob, CoefficientArray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -117,38 +117,37 @@ def select_k_range(coeffs: CoefficientArray, m: int, mass_tol: float) -> tuple[i
         p += 1
 
 
-def _search_slice(model: ModelSpec, grid: WaveletGrid) -> CoefficientArray | None:
-    """The trapezoidal coefficients of ``grid`` cut from the auto_grid search
-    that chose it, or None when that search does not fit.
-
-    With the search's model, m and J, and [k1, k2) inside its window, the
-    slice holds the same trapezoidal sums on the same nodes as a new FFT:
-    equal to rounding, and bit for bit when the window is the search's.
-    """
-    if grid._search is None:
-        return None
-    job, coeffs = grid._search
-    if (job.model != model or (job.m, job.J) != (grid.m, grid.J)
-            or not job.k1 <= grid.k1 < grid.k2 <= job.k2):
-        return None
-    return CoefficientArray(grid.k1, coeffs.values[grid.k1 - job.k1:grid.k2 - job.k1])
-
-
 def _compute_density(model: ModelSpec, grid: WaveletGrid, strategy: str):
-    """Returns (CoefficientArray, cf_evals); cf_evals counts the nodes
-    behind the coefficients, also when they come from the grid search."""
-    if strategy in ("midpoint", "trapezoidal"):
-        n_cf = 1 << (grid.J - 1)
-        if strategy == "trapezoidal":
-            coeffs = _search_slice(model, grid)
-            if coeffs is not None:
-                return coeffs, n_cf
-        rule = density_midpoint_fft if strategy == "midpoint" else density_trapezoidal_fft
-        return rule(DensityJob(model, grid.m, grid.J, grid.k1, grid.k2)), n_cf
+    """Returns (CoefficientArray, cf_evals, fhat): cf_evals counts the nodes
+    behind the coefficients, fhat is fhat on the level-J trapezoidal nodes
+    where the context has it, else None.
+
+    The auto_grid search that chose ``grid`` serves when it has the model,
+    m and J and [k1, k2) lies in its window: its fhat, and for the
+    trapezoidal rule a slice of its coefficients, the same sums on the same
+    nodes as a new FFT (equal to rounding, bit for bit on its window)."""
+    search = grid._search
+    if search is not None:
+        job = search[0]
+        if (job.model != model or (job.m, job.J) != (grid.m, grid.J)
+                or not job.k1 <= grid.k1 < grid.k2 <= job.k2):
+            search = None
+    fhat = None if search is None else search[2]
     if strategy == "filon":
-        return density_filon(model, grid.m, grid.k1, grid.k2, FILON_TOL)
-    raise ValueError(f"unknown density strategy '{strategy}' "
-                     f"(choose from {DENSITY_STRATEGIES})")
+        return *density_filon(model, grid.m, grid.k1, grid.k2, FILON_TOL), fhat
+    if strategy not in DENSITY_STRATEGIES:
+        raise ValueError(f"unknown density strategy '{strategy}' "
+                         f"(choose from {DENSITY_STRATEGIES})")
+    n_cf = 1 << (grid.J - 1)
+    job = DensityJob(model, grid.m, grid.J, grid.k1, grid.k2)
+    if strategy == "midpoint":
+        return density_midpoint_fft(job), n_cf, fhat
+    if search is not None:
+        lo = grid.k1 - search[0].k1
+        values = search[1].values[lo:lo + grid.k2 - grid.k1]
+        return CoefficientArray(grid.k1, values), n_cf, fhat
+    fhat = _trapezoidal_fhat(job)
+    return density_trapezoidal_fft(job, fhat), n_cf, fhat
 
 
 def _check_strikes(strikes) -> np.ndarray:
@@ -172,16 +171,19 @@ class PricingContext:
     """Model + grid + density coefficients, computed once and then shared.
 
     Pricing different strikes against the same context reuses the density
-    work.  The only state set after initialization is the em_fft sums and
-    the forward payoff's a-end terms, each filled on first use by a
-    deterministic computation, so concurrent pricing stays safe.
+    work.  The only state set after initialization is the em_fft sums (with
+    cf_evals, when they need a cf call) and the forward payoff's a-end terms,
+    each filled on first use by a deterministic computation, so concurrent
+    pricing stays safe.
     """
 
     def __init__(self, model: ModelSpec, grid: WaveletGrid,
                  density_strategy: str = "trapezoidal"):
         self.model = model
         self.grid = grid
-        self.coeffs, self.cf_evals = _compute_density(model, grid, density_strategy)
+        self.coeffs, self._density_evals, self._fhat = _compute_density(
+            model, grid, density_strategy)
+        self.cf_evals = self._density_evals
 
     @cached_property
     def _forward_a_end(self):
@@ -240,46 +242,35 @@ class PricingContext:
 
     @cached_property
     def _em_sums(self):
-        """Everything em_fft pricing needs from the density coefficients.
+        """(W, A0, B0) of ``_puts_em_fft`` from fhat_j = fhat(u_j) on the
+        level-J trapezoidal nodes u_j = j delta, j < 2^(J-1): the context's
+        fhat, or, on a midpoint or Filon context without one, a cf call that
+        ``cf_evals`` counts.  Over j >= 1,
 
-        With alpha_n + i beta_n = sum_k c_k e^{i pi k (n+1/2)/N} (n < N) and
-        q_n = (n+1/2) pi 2^m / N, the moment sum of ``_puts_em_fft`` is
+          w_j = fhat_j / (i u_j (1 + i u_j)),
+          A0 = -Re sum_j fhat_j e^{i u_j a} / (i u_j),
+          B0 = e^a Re sum_j fhat_j e^{i u_j a} / (1 + i u_j),
 
-          sum_n C_n(z) alpha_n + S_n(z) beta_n
-            = e^z Re sum_n w_n e^{i q_n z} + e^z A0 + B0,
-
-          w_n = -conj(alpha_n + i beta_n) / (q_n (q_n - i)),
-          A0 = sum_n Im(u_n) / q_n,
-          B0 = e^a sum_n (Re(u_n) - q_n Im(u_n)) / (1 + q_n^2),
-          u_n = (alpha_n + i beta_n) e^{-i q_n a}
-
-        alpha_n + i beta_n = sum_k c_k e^{2 pi i k (2n+1)/(4N)} is the
-        conjugate of odd bin 2n+1 of one real FFT of length 4N, with c_k
-        accumulated at k mod 4N (the sum's period in k).
-
-        Returns (W, A0, B0, s0, s1): W is w reshaped to (N/s, s) with s the
-        largest power of two <= sqrt(N), s0 = sum_k (-1)^k c_k and
-        s1 = sum_k (-1)^k k c_k."""
-        g, c = self.grid, self.coeffs.values
-        ks = np.arange(g.k1, g.k2)
-        x = np.bincount(ks % (4 * g.N), weights=c, minlength=4 * g.N)
-        ab_conj = np.fft.rfft(x)[1:2 * g.N:2]
-        q = (np.arange(g.N) + 0.5) / g.N * (np.pi * 2.0**g.m)
-        w = -ab_conj / (q * (q - 1j))
-        u = ab_conj.conj() * _cis(-q * g.a)
-        a0 = float(np.sum(u.imag / q))
-        b0 = math.exp(g.a) * float(np.sum((u.real - q * u.imag) / (1.0 + q * q)))
-        signed = (1.0 - 2.0 * (np.abs(ks) & 1)) * c
-        # an elementwise sum, not np.dot, keeps this off BLAS and its
-        # thread pool
-        s1 = float((ks * signed).sum())
-        s = 1 << ((g.N.bit_length() - 1) // 2)
-        return w.reshape(-1, s), a0, b0, float(signed.sum()), s1
+        and W is w (w_0 = 0) reshaped to (2^(J-1)/s, s), s the largest power
+        of two <= sqrt(2^(J-1))."""
+        g, fhat = self.grid, self._fhat
+        if fhat is None:
+            fhat = _trapezoidal_fhat(DensityJob(self.model, g.m, g.J, g.k1, g.k2))
+            self.cf_evals = self._density_evals + fhat.size
+        u = math.ldexp(np.pi, g.m - g.J + 1) * np.arange(1, fhat.size)
+        w = np.zeros(fhat.size, dtype=complex)
+        w[1:] = -fhat[1:] / (u * (u - 1j))
+        fa = fhat[1:] * _cis(u * g.a)
+        a0 = -float(np.sum(fa.imag / u))
+        b0 = math.exp(g.a) * float(np.sum((fa.real + u * fa.imag) / (1.0 + u * u)))
+        s = 1 << ((fhat.size.bit_length() - 1) // 2)
+        return w.reshape(-1, s), a0, b0
 
     def price_puts(self, strikes, payoff_strategy="em_fft") -> np.ndarray:
-        """Put prices B sum_k c_k V_k(K) for a vector of strikes; the routes
-        differ only in V.  ``forward`` and ``classic`` evaluate their Si/Ein
-        closed forms strike by strike; ``em_fft`` is ``_puts_em_fft``.
+        """Put prices for a vector of strikes.  ``forward`` and ``classic``
+        are B sum_k c_k V_k(K), their Si/Ein closed forms V strike by
+        strike; ``em_fft`` is the Parseval sum of ``_puts_em_fft``, which
+        reads fhat on the density nodes, not the coefficients.
         K = 0 prices exactly 0 on every route, as does z <= a on em_fft and
         forward.  A non-finite price raises ``FloatingPointError`` naming
         its route and strike.
@@ -314,23 +305,20 @@ class PricingContext:
         return np.array([rows[route] for route in routes])
 
     def _puts_em_fft(self, K: np.ndarray) -> np.ndarray:
-        """em_fft puts.  The price is linear in the density coefficients, so
-        with z = ln(K/F), scale = K e^{-z} 2^{m/2} = F 2^{m/2} and the sums
-        of ``_em_sums`` it is B times
+        """em_fft puts by the paper's Parseval identity: the payoff transform
+        M(u) = int_a^z (e^z - e^y) e^{i u y} dy, z = ln(K/F), against fhat
+        by the trapezoidal rule on the density nodes u_j = j delta,
+        delta = 2^m pi / 2^(J-1):
 
-          scale/N sum_n [C_{n+1/2}(z) alpha_n + S_{n+1/2}(z) beta_n]
-            - pi scale/(24 N^2) (D(z) s0 - S_N(z) s1)
+          B F delta/pi [e^z (Re sum_j w_j e^{i u_j z} + A0) + B0 + M(0)/2]
 
-        (see ``payoff_fft_euler_maclaurin`` for C, S and D), where the
-        moment sum is e^z Re sum_n w_n e^{i q_n z} + e^z A0 + B0.  With
-        q_n = (n+1/2) delta, delta = pi 2^m / N, and n = h s + l, the
-        phases factor as
-        e^{i q_n z} = e^{i delta z/2} e^{i delta s h z} e^{i delta l z}, so
-        for a block of strikes
-
-          sum_n w_n e^{i q_n z} = e^{i delta z/2} sum_h E_hi[h] (W @ E_lo)[h]:
-
-        one complex matrix product and N/s + s exponentials per strike.
+        with ``_em_sums``; M(0) = e^z (z - a - 1) + e^a is node 0 at weight
+        1/2, and the Nyquist node is left out, as in the density loader.  The
+        integrand is Hermitian, so this is the periodic full-line trapezoid:
+        no end correction.  With j = h s + l, e^{i u_j z} = e^{i delta s h z}
+        e^{i delta l z}, so a block of strikes costs one complex matrix
+        product, sum_h E_hi[h] (W @ E_lo)[h], and 2^(J-1)/s + s exponentials
+        per strike.
         """
         g, F = self.grid, self.model.forward
         if not g.a < 0 <= g.b:
@@ -341,22 +329,20 @@ class PricingContext:
         sums = np.zeros(K.shape)
         if live.size == 0:
             return sums
-        W, a0, b0, s0, s1 = self._em_sums
-        p = np.pi * 2.0**g.m
+        W, a0, b0 = self._em_sums
+        delta = math.ldexp(np.pi, g.m - g.J + 1)
         n_hi, s = W.shape
         step = max(1, _BLOCK_ELEMENTS // n_hi)
         for lo in range(0, live.size, step):
             idx = live[lo:lo + step]
             zb = z[idx]
-            t = p / g.N * zb
+            t = delta * zb
             e_lo = _cis(np.outer(np.arange(s), t))
-            e_hi = _cis(np.outer(np.arange(0, g.N, s), t))
-            waves = (_cis(0.5 * t) * np.sum(e_hi * (W @ e_lo), axis=0)).real
-            s_cap = _moment(p, g.a, zb).imag
-            d_cap = em_correction_D(g.m, g.a, zb)
-            sums[idx] = ((np.exp(zb) * (waves + a0) + b0) / g.N
-                         - np.pi / (24.0 * g.N**2) * (d_cap * s0 - s_cap * s1))
-        return self.model.discount * F * 2.0 ** (g.m / 2.0) * sums
+            e_hi = _cis(np.outer(np.arange(0, n_hi * s, s), t))
+            waves = np.sum(e_hi * (W @ e_lo), axis=0).real
+            ez = np.exp(zb)
+            sums[idx] = ez * (waves + a0) + b0 + 0.5 * (ez * (zb - g.a - 1.0) + math.exp(g.a))
+        return self.model.discount * F * math.ldexp(1.0, g.m - g.J + 1) * sums
 
     def price_put(self, K: float, payoff_strategy: str = "forward") -> PricingResult:
         return PricingResult(float(self.price_puts([K], payoff_strategy)[0]))
@@ -376,8 +362,9 @@ def auto_grid(model: ModelSpec, L: float = 10.0, mass_tol: float = 1e-9,
     Each doubling of the window adds one trapezoidal level J, whose even
     nodes are the previous level's: only its odd nodes need the cf.  The
     grid carries the last wide coefficients, which a trapezoidal
-    ``PricingContext`` on it slices instead of redoing the FFT.  A window
-    past ``_MAX_K_HALF``, the seed too, raises ``GridSelectionError``."""
+    ``PricingContext`` on it slices instead of redoing the FFT, and their
+    fhat, which em_fft prices from on any context.  A window past
+    ``_MAX_K_HALF``, the seed too, raises ``GridSelectionError``."""
     if m is None:
         m = select_scale(model)
     a, b = truncation_interval(cumulants(model), L)
@@ -399,7 +386,7 @@ def auto_grid(model: ModelSpec, L: float = 10.0, mass_tol: float = 1e-9,
             if k_half > _MAX_K_HALF:
                 raise
     return _grid(m, k1, k2, J, min(a, k1 / 2.0**m), max(b, k2 / 2.0**m), L,
-                 search=(wide, coeffs))
+                 search=(wide, coeffs, fhat))
 
 
 def _grid(m, k1, k2, J, a, b, L, N=None, search=None) -> WaveletGrid:

@@ -5,7 +5,9 @@ For each reference model: nine strikes (K = 0, K = F and F e^{x sd}, sd the
 cumulant standard deviation), the auto grid and the strike-window grid of
 ``grid_for``, and the puts of both FFT densities (midpoint, trapezoidal)
 on every payoff route.  ``em_fft`` and ``forward`` price on the auto grid,
-``classic`` on the strike-window grid.  Run from the repository root:
+``classic`` on the strike-window grid.  A model already in the file keeps
+its recorded strikes, so that a rounding change in the cumulants moves no
+strike.  Run from the repository root:
 
     PYTHONPATH=src python tests/make_golden_prices.py
 """
@@ -38,10 +40,11 @@ def grid_key(grid):
     return [grid.m, grid.k1, grid.k2, grid.J, grid.N]
 
 
-def record(doc):
+def record(doc, strikes=None):
     model = model_from_dict(doc)
-    sd = math.sqrt(cumulants(model).c2)
-    strikes = [0.0] + [model.forward * math.exp(x * sd) for x in SPREADS]
+    if strikes is None:
+        sd = math.sqrt(cumulants(model).c2)
+        strikes = [0.0] + [model.forward * math.exp(x * sd) for x in SPREADS]
     grids = {"auto": auto_grid(model), "strikes": grid_for(model, strikes=strikes)}
     puts = {}
     for density in DENSITIES:
@@ -54,5 +57,9 @@ def record(doc):
 
 
 if __name__ == "__main__":
-    golden = {name: record(doc) for name, doc in MODELS.items()}
+    old = json.loads(PATH.read_text()) if PATH.exists() else {}
+    golden = {}
+    for name, doc in MODELS.items():
+        kept = old.get(name, {})
+        golden[name] = record(doc, kept["strikes"] if kept.get("doc") == doc else None)
     PATH.write_text(json.dumps(golden, indent=1) + "\n")

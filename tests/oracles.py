@@ -18,6 +18,7 @@ from swiftpricer import char_fn
 from swiftpricer.density import (_NODES, _PROBE, _VAND_INV, CoefficientArray,
                                  FilonConvergenceError, _fhat, _moments,
                                  _poly_eval)
+from swiftpricer.payoff import _moment
 
 
 def naive_heston_cf(u, T, p):
@@ -52,6 +53,26 @@ def direct_trapezoidal(model, m, J, ks):
     out = [np.sum((psi * np.exp(2j * np.pi * ((int(k) * j) % n) / n)).real)
            for k in ks]
     return 2.0 ** (m / 2.0) / (n // 2) * np.array(out)
+
+
+def parseval_put(model, grid, K):
+    """The em_fft put as the trapezoidal Parseval sum written out, one
+    strike at a time and no factoring:
+
+      B F delta/pi [M(0)/2 + Re sum_{1 <= j < 2^(J-1)} psi(-u_j) M(u_j)],
+
+    u_j = j delta, delta = 2^m pi/2^(J-1), M = ``payoff._moment`` on
+    [a, z], z = ln(K/F), and M(0) = e^z (z - a - 1) + e^a; 0 for z <= a."""
+    F = model.forward
+    if K == 0.0 or np.log(K / F) <= grid.a:
+        return 0.0
+    z, a = np.log(K / F), grid.a
+    n = 1 << (grid.J - 1)
+    delta = 2.0**grid.m * np.pi / n
+    u = delta * np.arange(1, n)
+    total = 0.5 * (np.exp(z) * (z - a - 1.0) + np.exp(a))
+    total += np.sum((char_fn(model, -u) * _moment(u, a, z)).real)
+    return float(model.discount * F * delta / np.pi * total)
 
 
 def naive_inverse_dft(x):

@@ -137,22 +137,6 @@ class TestPrice:
             assert {d["payoff_strategy"] for d in docs} == {route}
             assert len({d["elapsed_seconds"] for d in docs}) == 1
 
-    def test_N_keeps_the_carried_search(self, capsys, monkeypatch, heston_heavy_file):
-        argv = ["price", "--model", heston_heavy_file, "--payoff", "em-fft",
-                *strike_args(8e5, 1e6, 1.25e6)]
-        sizes = record_cf_points(monkeypatch)
-        runs = []
-        for extra in ([], ["--N", "65536"]):
-            sizes.clear()
-            code, out, err = run_cli(capsys, *argv, *extra)
-            assert code == 0, err
-            # select_scale, then auto_grid's search; the context slices it
-            assert sizes == [12, 4096, 4096, 8192, 16384]
-            runs.append(json.loads(out))
-        assert [d["grid"]["N"] for d in runs[1]] == [65536] * 3
-        for plain, wide in zip(*runs):
-            assert abs(wide["price"] - plain["price"]) <= 1e-14 * max(plain["strike"], 1e6)
-
     @pytest.mark.parametrize("model_file", ["lognormal_file", "heston_short_file",
                                             "heston_heavy_file"])
     def test_classic_payoff_covers_its_strikes(self, capsys, request, model_file):
@@ -286,16 +270,16 @@ class TestGridOptions:
 
     @pytest.mark.parametrize("command, extra, expect", [
         ("price", ["--J", "20"], "J"),
-        ("price", ["--N", "0"], "N"),
-        ("price", ["--N", "-5"], "N"),
+        ("bench", ["--N", "0"], "N"),
+        ("bench", ["--N", "-5"], "N"),
         ("price", ["--m", "6", "--J", "0"], "J"),
         ("price", ["--m", "0"], "m"),
         ("error-sweep", ["--J", "0"], "J"),
         # density-table takes no --N: its output does not depend on it
         ("density-table", ["--m", "6", "--J", "8", "--N", "0"], "unrecognized"),
         # an N that is not a power of two rounds up on every grid
-        ("price", ["--N", "100"], 128),
-        ("price", ["--m", "6", "--J", "8", "--N", "100"], 128),
+        ("bench", ["--N", "100", "--reps", "1"], 128),
+        ("bench", ["--m", "6", "--J", "8", "--N", "100", "--reps", "1"], 128),
         # J without m is used where the strikes set the k-range
         ("price", ["--payoff", "classic", "--J", "12"], 128),
         ("error-sweep", ["--J", "12", "--strike", "100"], None),
@@ -306,7 +290,9 @@ class TestGridOptions:
         ("init-table", ["--mass-tol", "1"], "mass_tol"),
         ("bench", ["--m", "6", "--J", "8", "--mass-tol", "0"], "mass_tol"),
     ])
-    def test_refused_or_rounded(self, capsys, lognormal_file, command, extra, expect):
+    def test_refused_or_rounded(self, capsys, monkeypatch, lognormal_file, command, extra,
+                                expect):
+        grids = record_grids(monkeypatch)
         code, out, err = run_cli(capsys, command, "--model", lognormal_file, *extra)
         if isinstance(expect, str):
             assert code == 1
@@ -315,7 +301,7 @@ class TestGridOptions:
         else:
             assert code == 0, err
             if expect is not None:
-                assert json.loads(out)["grid"]["N"] == expect
+                assert [g.N for g in grids] == [expect]
 
 
 class TestGridDomain:
@@ -341,7 +327,7 @@ class TestGridDomain:
         # past the largest J that grid_for picks (19), or past auto_grid's
         # largest density job (J = 17), given or needed
         (["price", "--m", "6", "--J", "40"], 1, []),
-        (["price", "--N", "1099511627776"], 1, []),
+        (["bench", "--N", "1099511627776"], 1, []),
         (["error-sweep", "--m", "24", "--strike", "1e-300"], 1, []),
         # the default strikes F [e^(a/4), e^b] overflow
         pytest.param(["error-sweep", "--L", "100000"], 1, [],
@@ -720,7 +706,7 @@ class TestCsvWriter:
 
 # The options each command accepts: those that can change its output.
 ACCEPTED = {
-    "price": {"model", "strike", "m", "J", "N", "L", "mass-tol", "density", "payoff", "out"},
+    "price": {"model", "strike", "m", "J", "L", "mass-tol", "density", "payoff", "out"},
     "table1": {"out", "format"},
     "price-table": {"payoff", "out", "format"},
     "density-table": {"model", "m", "J", "L", "mass-tol", "out", "format"},
@@ -740,7 +726,7 @@ def single_error_line(err):
 
 class TestParser:
     def test_option_table(self):
-        assert sum(map(len, ACCEPTED.values())) == 47
+        assert sum(map(len, ACCEPTED.values())) == 46
         assert set(cli_mod.COMMANDS) == set(ACCEPTED)
         assert set(cli_mod.OPTIONS) == set(OPTION_VALUES)
 

@@ -18,10 +18,12 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import HESTON_HEAVY
 from swiftpricer import (FilonConvergenceError, GridSelectionError, PricingContext,
                          ReferenceError, auto_grid, model_from_dict, reference_put)
+import swiftpricer.cli as cli_mod
 from swiftpricer.cli import main
-from swiftpricer.pricer import DENSITY_STRATEGIES, PAYOFF_STRATEGIES
+from swiftpricer.pricer import DENSITY_STRATEGIES, PAYOFF_STRATEGIES, grid_for
 
 DOCUMENTED = (ValueError, GridSelectionError, FilonConvergenceError, ReferenceError,
               FloatingPointError)
@@ -113,10 +115,32 @@ def test_cli_contract(capsys, tmp_path, seed):
             check_cli(capsys, ["price", *base, "--payoff", payoff.replace("_", "-"),
                                "--density", density], lambda out: numbers(json.loads(out)))
     check_cli(capsys, ["error-sweep", *base], csv_numbers)
-    # a fixed grid: on an auto grid of 2^16 coefficients the explicit Vieta
-    # column alone takes about a minute
+    # a fixed grid: an auto grid of 2^16 coefficients and J = 17 is refused
+    # (test_density_table_refuses_a_huge_vieta_column)
     check_cli(capsys, ["density-table", "--model", str(path), "--m", "6", "--J", "8"],
               csv_numbers)
+
+
+def test_density_table_refuses_a_huge_vieta_column(capsys, tmp_path, monkeypatch):
+    # seed 56's auto grid, [-32768, 32768) with J = 17, asks the Vieta column
+    # for 2^32 terms (about a minute): refused before any column is computed
+    doc, _ = draw(56)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    for name in ("density_midpoint_fft", "density_filon", "density_vieta_direct"):
+        monkeypatch.setattr(cli_mod, name, None)
+    code = main(["density-table", "--model", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == ("error: the vieta_direct column needs (k2 - k1) 2^(J-1) = 4294967296 "
+                   "terms, over 2^30; choose a smaller grid with --m/--J\n")
+
+
+def test_vieta_cap_admits_the_heavy_auto_grid():
+    # the cap is the heavy reference model's own density-table grid, which
+    # still runs, as does any --m 6 --J 8 table (256 x 128 terms)
+    grid = grid_for(HESTON_HEAVY)
+    assert (grid.k2 - grid.k1) << (grid.J - 1) == cli_mod._MAX_VIETA_TERMS == 1 << 30
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,18 +1,19 @@
 """Tests for grid selection, pricing assembly, and the reference pricer."""
 
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from conftest import HESTON_HEAVY, HESTON_SHORT, LOGNORMAL_02, record_cf_points
-from oracles import black76_call, black76_put, quad_reference_put
+from oracles import black76_call, black76_put, parseval_put, quad_reference_put
 from swiftpricer import (Cumulants, DensityJob, GridSelectionError, HestonParams,
-                         ModelSpec, LognormalParams, PayoffJob, PricingContext, ReferenceError,
+                         ModelSpec, LognormalParams, PricingContext, ReferenceError,
                          WaveletGrid, auto_grid, char_fn, cumulants,
-                         density_trapezoidal_fft, payoff_fft_euler_maclaurin,
-                         payoff_classic_si_ein, payoff_forward_si_ein,
+                         density_trapezoidal_fft, payoff_classic_si_ein, payoff_forward_si_ein,
                          reference_put, select_k_range, select_scale,
                          truncation_interval)
 import swiftpricer.density as density_mod
@@ -225,23 +226,13 @@ class TestPriceCall:
                                           abs=1e-8)
 
 
-def em_fft_oracle(ctx, K):
-    """B sum_k c_k V_k(K) with V from the per-strike payoff FFT."""
-    g, F = ctx.grid, ctx.model.forward
-    if K == 0.0:
-        return 0.0
-    job = PayoffJob(K=K, F=F, m=g.m, a=g.a, b=g.b, k1=g.k1, k2=g.k2, N=g.N)
-    return ctx.model.discount * np.dot(ctx.coeffs.values,
-                                       payoff_fft_euler_maclaurin(job).values)
-
-
 def check_against_oracle(ctx, strikes):
     # absolute tolerance: the oracle's own rounding is about eps K, so a
     # relative check would fail on prices many digits below K
     got = ctx.price_puts(strikes)
     F = ctx.model.forward
     for K, price in zip(strikes, got):
-        assert abs(price - em_fft_oracle(ctx, K)) <= 1e-14 * max(K, F), K
+        assert abs(price - parseval_put(ctx.model, ctx.grid, K)) <= 1e-14 * max(K, F), K
     return got
 
 
@@ -263,25 +254,30 @@ class TestPricePuts:
         assert np.sum(strikes > F * np.exp(grid.b)) >= 2
 
     def test_folded_coefficients_on_short_payoff_grid(self, heston_short):
-        # k2 - k1 = 240 spans almost four 2N = 64 periods; odd k1
+        # em_fft reads no coefficient: a window of odd k1 that spans most of
+        # 2^J = 256, with a payoff FFT size N = 32 far below it, prices as
+        # the oracle
         grid = WaveletGrid(m=7, k1=-101, k2=139, J=8, N=32, a=-0.75, b=1.05)
         ctx = PricingContext(heston_short, grid)
         check_against_oracle(ctx, np.linspace(0.5, 2.5, 41))
 
-    @pytest.mark.parametrize("N, n_random", [(1, 40), (2, 40), (32, 40), (1 << 15, 260)])
-    def test_factored_sum_on_hand_built_grids(self, heston_short, N, n_random):
-        # the w_n sum through the (N/s, s) phase table: s = N/s = 1 (N = 1),
-        # s = 1 (N = 2), non-square (32 = 8 x 4, 2^15 = 256 x 128); at
-        # N = 2^15 the strikes fill more than one block of
-        # _BLOCK_ELEMENTS // (N/s) = 256
+    @pytest.mark.parametrize("nodes, n_random", [(1, 40), (2, 40), (128, 40), (1 << 15, 260)])
+    def test_factored_sum_on_hand_built_grids(self, heston_short, nodes, n_random):
+        # the w_j sum over the 2^(J-1) nodes through the (2^(J-1)/s, s) phase
+        # table: s = 2^(J-1)/s = 1 (J = 1), s = 1 (J = 2), non-square (J = 8:
+        # 16 x 8, J = 16: 256 x 128); at J = 16 the strikes fill more than
+        # one block of _BLOCK_ELEMENTS // 256 = 256
         F = heston_short.forward
         a = float(np.log(0.5 / F))  # z = ln(K/F) is exactly a at K = 0.5
-        grid = WaveletGrid(m=7, k1=-101, k2=139, J=8, N=N, a=a, b=1.05)
+        kh = min(120, nodes)
+        grid = WaveletGrid(m=7, k1=-kh, k2=kh, J=nodes.bit_length(), N=32, a=a, b=1.05)
         ctx = PricingContext(heston_short, grid)
+        assert ctx._em_sums[0].shape == {1: (1, 1), 2: (2, 1), 128: (16, 8),
+                                         1 << 15: (256, 128)}[nodes]
         rng = np.random.default_rng(20210)
         edges = [0.0, 0.5, 0.5 * (1.0 + 1e-9), F, F * np.exp(1.2 * grid.b)]
         strikes = np.concatenate([edges, F * np.exp(rng.uniform(a, grid.b, n_random))])
-        if N == 1 << 15:
+        if nodes == 1 << 15:
             assert len(strikes) > pricer_mod._BLOCK_ELEMENTS // 256
         got = check_against_oracle(ctx, strikes)
         assert got[0] == 0.0 and got[1] == 0.0
@@ -340,6 +336,72 @@ class TestPricePuts:
         assert np.all(np.isfinite(puts))
         assert np.all(puts >= np.maximum(B * (strikes - F), 0.0) - slack)
         assert np.all(puts <= B * strikes + slack)
+
+
+class TestParsevalRoute:
+    """em_fft prices from fhat on the level-J trapezoidal nodes alone."""
+
+    def test_same_prices_on_every_density_and_N(self, heston_short, monkeypatch):
+        grid = WaveletGrid(m=7, k1=-101, k2=139, J=8, N=32, a=-0.75, b=1.05)
+        strikes = np.linspace(0.4, 2.5, 43)
+        want = PricingContext(heston_short, grid).price_puts(strikes)
+        sizes = record_cf_points(monkeypatch)
+        for density in ("trapezoidal", "midpoint", "filon"):
+            for N in (1, 32, 1 << 12):
+                ctx = PricingContext(heston_short, replace(grid, N=N), density)
+                before, init_evals = len(sizes), ctx.cf_evals
+                assert np.array_equal(ctx.price_puts(strikes), want), (density, N)
+                ctx.price_puts(strikes[::2])
+                # the trapezoidal context prices from the fhat its density
+                # used; the others evaluate the 2^(J-1) nodes once
+                extra = [] if density == "trapezoidal" else [1 << (grid.J - 1)]
+                assert sizes[before:] == extra, (density, N)
+                assert ctx.cf_evals == init_evals + sum(extra)
+
+    @pytest.mark.parametrize("density", ["midpoint", "filon"])
+    def test_carried_fhat_serves_every_density(self, lognormal, monkeypatch, density):
+        grid = auto_grid(lognormal)
+        strikes = np.linspace(50.0, 200.0, 31)
+        want = PricingContext(lognormal, grid).price_puts(strikes)
+        ctx = PricingContext(lognormal, grid, density)
+        sizes = record_cf_points(monkeypatch)
+        evals = ctx.cf_evals
+        assert np.array_equal(ctx.price_puts(strikes), want)
+        assert sizes == [] and ctx.cf_evals == evals
+
+    def test_accuracy_on_fresh_draws(self):
+        # the benchmark's fresh draws, 5 strikes F exp(c1 + u sqrt(c2)),
+        # u ~ U(-2, 2), each; a lognormal draw against Black-76
+        rng = np.random.default_rng(2610)
+        for i in range(60):
+            model = fresh_draw(rng)
+            c = cumulants(model)
+            F = model.forward
+            strikes = F * np.exp(c.c1 + rng.uniform(-2.0, 2.0, 5) * np.sqrt(c.c2))
+            got = PricingContext(model, auto_grid(model)).price_puts(strikes)
+            if isinstance(model.dynamics, LognormalParams):
+                ref = black76_put(F, strikes, model.maturity, model.dynamics.vol,
+                                  model.discount)
+            else:
+                ref = reference_put(model, strikes)
+            assert np.all(np.abs(got - ref) <= 1e-8 * F), (i, model)
+
+    def test_pricer_calls_no_transform(self):
+        # the pricing path is transform-free: no FFT module, no inverse_dft
+        # and no cos_sin_sum, whatever the import spelling
+        names = []
+        for node in ast.walk(ast.parse(Path(pricer_mod.__file__).read_text())):
+            if isinstance(node, ast.Attribute):
+                names.append(node.attr)
+            elif isinstance(node, ast.Name):
+                names.append(node.id)
+            elif isinstance(node, ast.alias):
+                names += node.name.split(".")
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names += node.module.split(".")
+        found = [n for n in names
+                 if n in ("fft", "rfft", "irfft", "inverse_dft", "cos_sin_sum")]
+        assert not found
 
 
 def forward_oracle(ctx, K):
@@ -713,7 +775,7 @@ class TestGridHandover:
     @pytest.mark.parametrize("model", REFERENCE_MODELS)
     def test_search_coefficients_equal_standalone_job(self, model):
         grid = auto_grid(model)
-        job, coeffs = grid._search
+        job, coeffs, _ = grid._search
         assert (job.model, job.m, job.J) == (model, grid.m, grid.J)
         assert job.k1 <= grid.k1 < grid.k2 <= job.k2
         alone = density_trapezoidal_fft(DensityJob(model, grid.m, grid.J, job.k1, job.k2))
@@ -755,7 +817,7 @@ class TestGridHandover:
 
     def test_guards_recompute(self, lognormal, monkeypatch):
         grid = auto_grid(lognormal)
-        job, _ = grid._search
+        job = grid._search[0]
 
         def carrying(g):
             object.__setattr__(g, "_search", grid._search)
