@@ -127,14 +127,16 @@ def _density_fft(job: DensityJob, offset: int, fhat=None) -> CoefficientArray:
     n = 2^J, j < 2^{J-1}: offset 0 is the trapezoidal rule, offset 1 the
     midpoint rule.
 
-    Loading: f_j = fhat(2^m pi (2j+offset)/n) goes to slot j of the half
-    spectrum of a real signal of length n, or, for the midpoint rule, whose
-    nodes are the odd nodes of the next trapezoidal level, to slot 2j+1 of
-    one of length 2n; every other slot is zero.  The signal is twice the
-    rule's real sum: its DC term has the trapezoidal weight 1/2 built in.
-    c_k is read at k mod the signal length, the sum's period, so no phase
-    shifts it.  ``fhat`` holds the f_j's cf values when the caller has them
-    already; it is not modified.
+    Loading: f_j = fhat(2^m pi (2j+offset)/n) is slot j of the half
+    spectrum of a real signal of length n, passed as it is (the transform
+    zero-pads slot n/2), or, for the midpoint rule, whose nodes are the odd
+    nodes of the next trapezoidal level, slot 2j+1 of one of length 2n, the
+    even slots zero.  The signal is twice the rule's real sum: its DC term
+    has the trapezoidal weight 1/2 built in.  c_k is read at k mod the
+    signal length, the sum's period, as one slice or two (the window wraps
+    at most once, since k2 - k1 <= n), so no phase shifts it.  ``fhat``
+    holds the f_j's cf values when the caller has them already; it is not
+    modified.
     """
     n = 1 << job.J
     nh = n >> 1
@@ -143,10 +145,17 @@ def _density_fft(job: DensityJob, offset: int, fhat=None) -> CoefficientArray:
     elif np.shape(fhat) != (nh,):
         raise ValueError(f"fhat must hold the 2^(J-1) = {nh} node values, "
                          f"got shape {np.shape(fhat)}")
-    half = np.zeros((nh << offset) + 1, dtype=complex)
-    half[offset::1 + offset][:nh] = fhat
-    x = inverse_dft(half)
-    return _coefficients(job.k1, 2.0 ** (job.m / 2.0) / n * x[np.arange(job.k1, job.k2) % x.size])
+    half = fhat
+    if offset:
+        half = np.zeros(n, dtype=complex)
+        half[1::2] = fhat
+    x = inverse_dft(half, n << offset)
+    scale, lo, width = 2.0 ** (job.m / 2.0) / n, job.k1 % x.size, job.k2 - job.k1
+    if lo + width <= x.size:
+        return _coefficients(job.k1, scale * x[lo:lo + width])
+    window = np.concatenate((x[lo:], x[:lo + width - x.size]))
+    window *= scale
+    return _coefficients(job.k1, window)
 
 
 def density_midpoint_fft(job: DensityJob) -> CoefficientArray:

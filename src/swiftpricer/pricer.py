@@ -14,7 +14,7 @@ import numpy as np
 from .density import (_BLOCK_ELEMENTS, CoefficientArray, DensityJob,
                       _trapezoidal_fhat, density_filon, density_midpoint_fft,
                       density_trapezoidal_fft)
-from .models import Cumulants, ModelSpec, char_fn, cumulants
+from .models import _CF_BLOCK, Cumulants, ModelSpec, char_fn, cumulants
 from .payoff import _end_terms, payoff_classic_si_ein, payoff_forward_si_ein
 from .transform import _cis
 
@@ -98,23 +98,30 @@ def select_scale(model: ModelSpec) -> int:
 
 def select_k_range(coeffs: CoefficientArray, m: int, mass_tol: float) -> tuple[int, int]:
     """Smallest zero-centered doubling range [-2^p, 2^p) whose density mass
-    2^{-m/2} sum c_{m,k} reaches 1 - mass_tol."""
+    2^{-m/2} sum c_{m,k} reaches 1 - mass_tol.
+
+    One pass over the coefficients: ``np.add.reduceat`` sums the rings
+    between consecutive doublings, [-2^p, -2^(p-1)) and [2^(p-1), 2^p)
+    (p = 0: [-1, 0) and [0, 1)), and a cumsum of the ring pairs is every
+    window's mass.  A target that no window within [k1, k2) reaches raises
+    ``GridSelectionError`` with the largest such window's mass."""
     if not 0 < mass_tol < 1:
         raise ValueError("mass_tol must be in (0, 1)")
-    target = 1.0 - mass_tol
+    # the windows that fit: p = 0 .. top - 1
+    top = max(0, min(-coeffs.k1, coeffs.k2)).bit_length()
     achieved = 0.0
-    p = 0
-    while True:
-        k1, k2 = -(1 << p), 1 << p
-        if k1 < coeffs.k1 or k2 > coeffs.k2:
-            raise GridSelectionError(
-                f"mass target 1-{mass_tol:g} unreachable on candidate range "
-                f"[{coeffs.k1}, {coeffs.k2}): achieved mass {achieved:.12g}")
-        lo, hi = k1 - coeffs.k1, k2 - coeffs.k1
-        achieved = float(2.0 ** (-m / 2.0) * np.sum(coeffs.values[lo:hi]))
-        if achieved >= target:
-            return k1, k2
-        p += 1
+    if top:
+        half = 1 << np.arange(top)
+        edges = np.concatenate((-half[::-1], [0], half[:-1])) - coeffs.k1
+        rings = np.add.reduceat(coeffs.values[:half[-1] - coeffs.k1], edges)
+        mass = 2.0 ** (-m / 2.0) * np.cumsum(rings[top - 1::-1] + rings[top:])
+        hit = np.flatnonzero(mass >= 1.0 - mass_tol)
+        if hit.size:
+            return -int(half[hit[0]]), int(half[hit[0]])
+        achieved = mass[-1]
+    raise GridSelectionError(
+        f"mass target 1-{mass_tol:g} unreachable on candidate range "
+        f"[{coeffs.k1}, {coeffs.k2}): achieved mass {achieved:.12g}")
 
 
 def _compute_density(model: ModelSpec, grid: WaveletGrid, strategy: str):
@@ -247,24 +254,39 @@ class PricingContext:
         fhat, or, on a midpoint or Filon context without one, a cf call that
         ``cf_evals`` counts.  Over j >= 1,
 
-          w_j = fhat_j / (i u_j (1 + i u_j)),
+          w_j = -fhat_j (u_j + i) / (u_j (1 + u_j^2)),
           A0 = -Re sum_j fhat_j e^{i u_j a} / (i u_j),
           B0 = e^a Re sum_j fhat_j e^{i u_j a} / (1 + i u_j),
 
         and W is w (w_0 = 0) reshaped to (2^(J-1)/s, s), s the largest power
-        of two <= sqrt(2^(J-1))."""
+        of two <= sqrt(2^(J-1)).  Rows go in blocks of ``_CF_BLOCK`` entries,
+        so no temporary is full size; with j = h s + l, e^{i u_j a} is
+        e^{i delta s h a} e^{i delta l a}, as ``_puts_em_fft`` factors it."""
         g, fhat = self.grid, self._fhat
         if fhat is None:
             fhat = _trapezoidal_fhat(DensityJob(self.model, g.m, g.J, g.k1, g.k2))
             self.cf_evals = self._density_evals + fhat.size
-        u = math.ldexp(np.pi, g.m - g.J + 1) * np.arange(1, fhat.size)
-        w = np.zeros(fhat.size, dtype=complex)
-        w[1:] = -fhat[1:] / (u * (u - 1j))
-        fa = fhat[1:] * _cis(u * g.a)
-        a0 = -float(np.sum(fa.imag / u))
-        b0 = math.exp(g.a) * float(np.sum((fa.real + u * fa.imag) / (1.0 + u * u)))
+        delta = math.ldexp(np.pi, g.m - g.J + 1)
         s = 1 << ((fhat.size.bit_length() - 1) // 2)
-        return w.reshape(-1, s), a0, b0
+        W = np.zeros((fhat.size // s, s), dtype=complex)
+        w, t = W.reshape(-1), delta * g.a
+        e_hi, e_lo = _cis(np.arange(0, fhat.size, s) * t), _cis(np.arange(s) * t)
+        rows = max(1, _CF_BLOCK // s)
+        a0 = b0 = 0.0
+        for h in range(0, W.shape[0], rows):
+            # the nodes j0 <= j < j1 of rows h .. h + rows - 1, node 0 left out
+            j0, j1 = max(1, h * s), min(fhat.size, (h + rows) * s)
+            fa = np.multiply.outer(e_hi[h:h + rows], e_lo).reshape(-1)[j0 - h * s:]
+            f, u = fhat[j0:j1], delta * np.arange(j0, j1)
+            fa *= f  # fhat_j e^{i u_j a}
+            den = 1.0 + u * u
+            a0 -= float(np.sum(fa.imag / u))
+            b0 += float(np.sum((fa.real + u * fa.imag) / den))
+            den *= -u
+            wb = np.multiply(f, u + 1j, out=w[j0:j1])
+            wb.real /= den
+            wb.imag /= den
+        return W, a0, math.exp(g.a) * b0
 
     def price_puts(self, strikes, payoff_strategy="em_fft") -> np.ndarray:
         """Put prices for a vector of strikes.  ``forward`` and ``classic``

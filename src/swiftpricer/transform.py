@@ -15,7 +15,11 @@ def _check_pow2(x: np.ndarray, half: bool = False) -> int:
     (each transform runs along the last axis)."""
     if x.ndim != 1:
         raise ValueError(f"input must be 1-D, got shape {x.shape}")
-    n = 2 * (x.shape[0] - 1) if half else x.shape[0]
+    return _pow2(2 * (x.shape[0] - 1) if half else x.shape[0])
+
+
+def _pow2(n: int) -> int:
+    """``n``, refused unless a power of two."""
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"length must be a power of two, got {n}")
     return n
@@ -30,17 +34,24 @@ def _cis(theta) -> np.ndarray:
     return out
 
 
-def inverse_dft(half) -> np.ndarray:
+def inverse_dft(half, n=None) -> np.ndarray:
     """Unscaled real inverse DFT: x_l = sum_{j<n} X_j e^{+2 pi i l j / n}
     of the real length-n signal whose half spectrum X_0 .. X_{n/2} is
     ``half`` (X_{n-j} = conj X_j; the imaginary parts of X_0 and X_{n/2}
     are ignored).
 
-    n = 2 (len(half) - 1) must be a power of two.  Out-of-place: the input
-    buffer is never modified.
+    n = 2 (len(half) - 1) by default; a given n takes a ``half`` of 1 to
+    n/2 + 1 entries, X_j = 0 past them (irfft pads, so the caller copies
+    nothing).  n must be a power of two.  Out-of-place: the input buffer is
+    never modified.
     """
     X = np.asarray(half, dtype=complex)
-    return np.fft.irfft(X, _check_pow2(X, half=True), norm="forward")
+    if n is None:
+        n = _check_pow2(X, half=True)
+    elif X.ndim != 1 or not 1 <= X.size <= _pow2(n) // 2 + 1:
+        raise ValueError(f"a signal of length {n} takes a 1-D half spectrum of "
+                         f"1 to {n // 2 + 1} entries, got shape {X.shape}")
+    return np.fft.irfft(X, n, norm="forward")
 
 
 def dct2_via_fft(a) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -94,3 +95,16 @@ def record_cf_points(monkeypatch):
     monkeypatch.setattr(density_mod, "char_fn", recording)
     monkeypatch.setattr(pricer_mod, "char_fn", recording)
     return sizes
+
+
+def traced_peak_kib(fn):
+    """Peak KiB that ``fn()`` holds in Python and numpy allocations
+    (tracemalloc: the same count on every run and allocator), its result
+    included.  A first untraced call fills lazy caches."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()

@@ -6,14 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import HESTON_HEAVY, HESTON_SHORT, LOGNORMAL_02
-from oracles import fd_cumulants, heston_cumulant_series, naive_heston_cf
+from conftest import HESTON_HEAVY, HESTON_SHORT, LOGNORMAL_02, traced_peak_kib
+from oracles import (fd_cumulants, heston_cumulant_series, naive_heston_cf,
+                     one_pass_heston_cf)
 from swiftpricer import (CoefficientArray, Cumulants, DensityJob, HestonParams,
                          LognormalParams, ModelSpec, PayoffJob, PricingContext, auto_grid,
                          char_fn, cumulants, density_filon, em_correction_D,
                          model_from_dict, model_from_json, payoff_classic_si_ein,
                          payoff_forward_si_ein, reference_put)
 from swiftpricer.density import _nodes
+from swiftpricer.models import _CF_BLOCK
 
 # pinned by two independent high-precision routes: a 40-digit evaluation of
 # the closed form and a DOP853 integration of the Riccati system (they agree
@@ -186,6 +188,55 @@ class TestHestonCfOracle:
             psi = char_fn(HESTON_HEAVY, u)
             assert type(psi) is complex
             assert psi == complex(char_fn(HESTON_HEAVY, np.array([u]))[0])
+
+
+class TestBlockedHestonCf:
+    # _heston_cf runs in blocks of _CF_BLOCK points, every operation
+    # elementwise: psi must equal the one-pass evaluation bit for bit
+    B = _CF_BLOCK
+
+    @staticmethod
+    def assert_one_pass(u):
+        for model in HESTON_SWEEP:
+            ref = one_pass_heston_cf(u, model.maturity, model.dynamics)
+            psi = char_fn(model, u)
+            assert psi.shape == ref.shape and np.array_equal(psi, ref, equal_nan=True), model
+
+    # 2B + 1: a lone last point, which joins the block before it
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1, 3 * B + 5])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_sizes(self, n, dtype):
+        rng = np.random.default_rng(n)
+        u = rng.uniform(-3000.0, 3000.0, n).astype(dtype)
+        if dtype is complex:
+            u -= 1j * rng.uniform(0.0, 1.0, n)
+        self.assert_one_pass(u)
+
+    @pytest.mark.parametrize("shape", [(), (3, B // 2 + 3), (B + 7, 2)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_shapes(self, shape, dtype):
+        rng = np.random.default_rng(len(shape))
+        u = np.asarray(rng.uniform(-500.0, 500.0, shape), dtype=dtype)
+        if dtype is complex:
+            u -= 0.5j
+        self.assert_one_pass(u)
+
+    def test_exactly_one_in_a_later_block(self):
+        u = np.random.default_rng(7).uniform(-50.0, 50.0, 3 * self.B + 5).astype(complex)
+        ones = [self.B + 7, 2 * self.B + 1, 3 * self.B + 4]
+        u[ones] = [0.0, -1j, 0.0]
+        keep = u.copy()
+        self.assert_one_pass(u)
+        for model in HESTON_SWEEP:
+            assert np.all(char_fn(model, u)[ones] == 1.0), model
+        assert np.array_equal(u, keep)
+
+    def test_allocation_budget(self):
+        # 32768 real points: the 512 KiB output, the complex copy of one
+        # block and its five temporaries (64 KiB each) read 902 KiB; the
+        # one-pass evaluation, five full-size buffers, read 3105 KiB
+        u = np.linspace(0.0, 3000.0, 32768)
+        assert traced_peak_kib(lambda: char_fn(HESTON_HEAVY, u)) <= 1024
 
 
 class TestCumulants:

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from conftest import HESTON_HEAVY, HESTON_SHORT, LOGNORMAL_02, record_cf_points
+from conftest import (HESTON_HEAVY, HESTON_SHORT, LOGNORMAL_02, record_cf_points,
+                      traced_peak_kib)
 from oracles import black76_call, black76_put, parseval_put, quad_reference_put
-from swiftpricer import (Cumulants, DensityJob, GridSelectionError, HestonParams,
-                         ModelSpec, LognormalParams, PricingContext, ReferenceError,
+from swiftpricer import (CoefficientArray, Cumulants, DensityJob, GridSelectionError,
+                         HestonParams, ModelSpec, LognormalParams, PricingContext, ReferenceError,
                          WaveletGrid, auto_grid, char_fn, cumulants,
                          density_trapezoidal_fft, payoff_classic_si_ein, payoff_forward_si_ein,
                          reference_put, select_k_range, select_scale,
@@ -134,11 +135,68 @@ class TestSelectKRange:
         with pytest.raises(GridSelectionError, match="achieved mass"):
             select_k_range(c, 5, 1e-12)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_windows_against_np_sum(self, seed):
+        # a seeded bell of Riemann mass 1 whose tails ring below zero, on
+        # [-kh, kh) or a range reaching further right; each doubling's mass
+        # by its own np.sum
+        rng = np.random.default_rng(seed)
+        m, kh = int(rng.integers(1, 11)), 1 << int(rng.integers(3, 13))
+        k = np.arange(-kh, kh + int(rng.integers(0, 3 * kh)))
+        bell = np.exp(-0.5 * ((k - rng.uniform(-2.0, 2.0)) / rng.uniform(1.0, kh / 8)) ** 2)
+        values = bell + 1e-5 * np.cos(2.0 * np.pi * k / 3.0) / (1.0 + np.abs(k))
+        assert values.min() < 0.0
+        values *= 2.0 ** (m / 2.0) / np.sum(values)
+        full = kh.bit_length() - 1  # the largest window in range, [-kh, kh)
+
+        def mass(p):
+            return 2.0 ** (-m / 2.0) * np.sum(values[kh - (1 << p):kh + (1 << p)])
+
+        for mass_tol in 10.0 ** -rng.uniform(1.0, 9.0, 6):
+            reach = [p for p in range(full + 1) if mass(p) >= 1.0 - mass_tol]
+            if not reach:
+                with pytest.raises(GridSelectionError, match="achieved mass"):
+                    select_k_range(CoefficientArray(int(k[0]), values), m, mass_tol)
+                continue
+            k1, k2 = select_k_range(CoefficientArray(int(k[0]), values), m, mass_tol)
+            assert (k1, k2) == (-(1 << reach[0]), 1 << reach[0])
+        # short of the target on the full window: its mass in the message
+        values *= 1.0 - 1e-6
+        with pytest.raises(GridSelectionError, match="achieved mass") as err:
+            select_k_range(CoefficientArray(int(k[0]), values), m, 1e-8)
+        assert abs(float(str(err.value).rsplit(" ", 1)[1]) - mass(full)) <= 1e-12
+
+    def test_no_window_fits(self):
+        # k1 = 0: not even [-1, 1) lies in the range
+        c = CoefficientArray(0, np.ones(8))
+        with pytest.raises(GridSelectionError, match="achieved mass 0"):
+            select_k_range(c, 5, 1e-3)
+
     @pytest.mark.parametrize("mass_tol", [0.0, 1.0, -1e-3, float("nan")])
     def test_mass_tol_outside_unit_interval_refused(self, mass_tol):
         c = density_trapezoidal_fft(DensityJob(LOGNORMAL_02, 5, 6, -4, 4))
         with pytest.raises(ValueError, match="mass_tol"):
             select_k_range(c, 5, mass_tol)
+
+
+class TestAllocationBudget:
+    # tracemalloc peaks of the heavy model's setup (J = 16: 32768 nodes);
+    # a full-size complex temporary is 512 KiB
+    def test_auto_grid(self):
+        # 1800 KiB; 2707 KiB while the cf and the loader held full-size
+        # temporaries
+        assert traced_peak_kib(lambda: auto_grid(HESTON_HEAVY)) <= 2048
+
+    def test_em_sums(self):
+        # the 512 KiB table W plus one block's temporaries read 841 KiB;
+        # 2049 KiB with full-size ones
+        ctx = PricingContext(HESTON_HEAVY, auto_grid(HESTON_HEAVY))
+
+        def sums():
+            vars(ctx).pop("_em_sums", None)
+            return ctx._em_sums
+        assert ctx.grid.J == 16
+        assert traced_peak_kib(sums) <= 1024
 
 
 class TestPricePut:

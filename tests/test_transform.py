@@ -69,6 +69,25 @@ class TestInverseDft:
         rhs = al * inverse_dft(x) + be * inverse_dft(y)
         assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
+    def test_given_length_zero_pads(self):
+        # a half spectrum shorter than n/2 + 1 is X_0 .. X_{len-1}, the rest 0
+        rng = np.random.default_rng(6)
+        for n, size in ((2, 1), (2, 2), (8, 1), (8, 3), (16, 8), (16, 9), (64, 20)):
+            half = rng.normal(size=size) + 1j * rng.normal(size=size)
+            padded = np.zeros(n // 2 + 1, dtype=complex)
+            padded[:size] = half
+            assert np.array_equal(inverse_dft(half, n), inverse_dft(padded))
+            ref = naive_inverse_dft(hermitian(padded)).real
+            assert np.abs(inverse_dft(half, n) - ref).max() <= 1e-13 * n
+
+    @pytest.mark.parametrize("size, n, match", [
+        (3, 6, "power of two"), (3, 0, "power of two"), (3, -4, "power of two"),
+        (3, 12, "power of two"), (6, 8, "1 to 5 entries"), (0, 8, "1 to 5 entries"),
+        ((2, 3), 8, "1-D")])
+    def test_given_length_refusals(self, size, n, match):
+        with pytest.raises(ValueError, match=match):
+            inverse_dft(np.ones(size, dtype=complex), n)
+
     def test_input_not_modified(self):
         half = np.arange(5, dtype=complex) * (1 + 1j)
         keep = half.copy()
