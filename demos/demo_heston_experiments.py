@@ -25,8 +25,7 @@ configs = [
     ("heavy", HEAVY, 8, 12, 2048, [(250000.0, "put"), (4000000.0, "call")]),
 ]
 for name, model, m, J, kh, strikes in configs:
-    grid = WaveletGrid(m=m, k1=-kh, k2=kh, J=J, N=max(32, 2 * kh),
-                       a=-kh / 2.0**m, b=kh / 2.0**m)
+    grid = WaveletGrid(m=m, k1=-kh, k2=kh, J=J, a=-kh / 2.0**m, b=kh / 2.0**m)
     for rule in ("midpoint", "trapezoidal"):
         ctx = PricingContext(model, grid, rule)
         for K, side in strikes:
@@ -45,8 +44,7 @@ a, b = truncation_interval(cumulants(SHORT), 12.0)
 strikes = np.linspace(0.9, 1.32, 8)
 z_min, z_max = np.log(strikes[0]), np.log(strikes[-1])
 grid = WaveletGrid(m=m, k1=int(np.floor(2**m * (a + z_min))) - 1,
-                   k2=int(np.ceil(2**m * (b + z_max))) + 2, J=14, N=512,
-                   a=a, b=b, L=12.0)
+                   k2=int(np.ceil(2**m * (b + z_max))) + 2, J=14, a=a, b=b)
 ctx = PricingContext(SHORT, grid, "trapezoidal")
 print(f"truncation [a, b] = [{a:.4f}, {b:.4f}], scale m={m}")
 print(f"{'K':>7s} {'|err| forward':>14s} {'|err| classic':>14s}")

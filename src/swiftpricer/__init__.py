@@ -12,9 +12,9 @@ from .density import (CoefficientArray, DensityJob, FilonConvergenceError,
                       density_trapezoidal_fft, density_vieta_direct)
 from .models import (Cumulants, HestonParams, LognormalParams, ModelSpec,
                      char_fn, cumulants, model_from_dict, model_from_json)
-from .payoff import (PayoffJob, em_correction_D, payoff_classic_si_ein,
-                     payoff_classic_simpson, payoff_classic_vieta,
-                     payoff_fft_euler_maclaurin, payoff_forward_si_ein)
+from .payoff import (PayoffJob, payoff_classic_si_ein, payoff_classic_simpson,
+                     payoff_classic_vieta, payoff_fft_euler_maclaurin,
+                     payoff_forward_si_ein)
 from .pricer import (GridSelectionError, PricingContext, PricingResult,
                      ReferenceError, WaveletGrid, auto_grid, reference_put,
                      select_k_range, select_scale, truncation_interval)
@@ -29,8 +29,8 @@ __all__ = [
     "PayoffJob", "PricingContext", "PricingResult", "ReferenceError",
     "WaveletGrid", "auto_grid", "char_fn", "cumulants", "dct2_via_fft", "density_filon",
     "density_mass", "density_midpoint_fft", "density_trapezoidal_fft",
-    "density_vieta_direct", "dst2_via_fft", "ein", "em_correction_D",
-    "exp_sin_integral", "model_from_dict", "model_from_json",
+    "density_vieta_direct", "dst2_via_fft", "ein", "exp_sin_integral",
+    "model_from_dict", "model_from_json",
     "payoff_classic_si_ein", "payoff_classic_simpson", "payoff_classic_vieta",
     "payoff_fft_euler_maclaurin", "payoff_forward_si_ein", "reference_put",
     "select_k_range", "select_scale", "si", "truncation_interval",

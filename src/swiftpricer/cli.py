@@ -20,9 +20,8 @@ from .density import (DensityJob, FilonConvergenceError, density_filon,
                       density_midpoint_fft, density_trapezoidal_fft,
                       density_vieta_direct)
 from .models import HestonParams, ModelSpec, cumulants, model_from_json
-from .payoff import (PayoffJob, payoff_classic_si_ein, payoff_classic_simpson,
-                     payoff_classic_vieta, payoff_fft_euler_maclaurin,
-                     payoff_forward_si_ein)
+from .payoff import (payoff_classic_si_ein, payoff_classic_simpson,
+                     payoff_classic_vieta, payoff_forward_si_ein)
 from .pricer import (DENSITY_STRATEGIES, FILON_TOL, PAYOFF_STRATEGIES,
                      GridSelectionError, PricingContext, ReferenceError, grid_for,
                      reference_put, truncation_interval)
@@ -111,7 +110,7 @@ def cmd_price(args) -> int:
     share = (time.perf_counter() - t0) / len(strikes)
     shared = {
         "grid": {"m": grid.m, "k1": grid.k1, "k2": grid.k2, "J": grid.J,
-                 "N": grid.N, "a": grid.a, "b": grid.b},
+                 "a": grid.a, "b": grid.b},
         "density_strategy": args.density,
         "payoff_strategy": args.payoff,
         "cf_evals": ctx.cf_evals,
@@ -231,17 +230,13 @@ def cmd_error_sweep(args) -> int:
 
 def cmd_bench(args) -> int:
     model = model_from_json(args.model)
-    grid = grid_for(model, args.m, args.J, args.N, args.L, args.mass_tol)
+    grid = grid_for(model, args.m, args.J, L=args.L, mass_tol=args.mass_tol)
     reps, n_k = args.reps, grid.k2 - grid.k1
     warn = "single-sample" if reps == 1 else ""
-    job = PayoffJob(K=model.forward, F=model.forward, m=grid.m, a=grid.a,
-                    b=grid.b, k1=grid.k1, k2=grid.k2, N=grid.N)
-    t_fft = _median_seconds(lambda: payoff_fft_euler_maclaurin(job), reps)
-    rows = [("payoff", "em_fft", n_k, t_fft, "", warn)]
     ks = np.arange(grid.k1, grid.k2)
     t_direct = _median_seconds(lambda: payoff_forward_si_ein(
         model.forward, model.forward, grid.m, ks, grid.a), reps)
-    rows.append(("payoff", "si_ein_per_k", n_k, t_direct, "", warn))
+    rows = [("payoff", "si_ein_per_k", n_k, t_direct, "", warn)]
     rows += [("density", variant, n_k, t, evals, warn)
              for variant, evals, t in _density_timings(model, grid, reps)]
     ctx = PricingContext(model, grid, "trapezoidal")
@@ -258,7 +253,6 @@ OPTIONS = {
     "strike": dict(type=float, action="append", help="strike (repeatable)"),
     "m": dict(type=int, help="wavelet scale"),
     "J": dict(type=int, help="density resolution exponent"),
-    "N": dict(type=int, help="payoff FFT size"),
     "L": dict(type=float, help="cumulant truncation level"),
     "mass-tol": dict(type=float, default=MASS_TOL),
     "density": dict(choices=DENSITY_STRATEGIES, default="trapezoidal"),
@@ -275,7 +269,7 @@ COMMANDS = {
     "density-table": (cmd_density_table, "model m J L mass-tol out format"),
     "init-table": (cmd_init_table, "model m J L mass-tol reps out format"),
     "error-sweep": (cmd_error_sweep, "model strike m J L density out format"),
-    "bench": (cmd_bench, "model m J N L mass-tol reps out format"),
+    "bench": (cmd_bench, "model m J L mass-tol reps out format"),
 }
 
 

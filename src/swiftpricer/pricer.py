@@ -25,9 +25,8 @@ FILON_TOL = 1e-8
 # Tolerance of reference_put, relative to max(K, 1e-8 F)
 _REFERENCE_TOL = 1e-10
 # auto_grid's scale cutoff |psi(2^m pi)| and its widest window [-2^15, 2^15),
-# whose trapezoidal job has J = 17; grid_for caps a given N and a strike
-# window there, and a given J at the J = 19 the strike-window default
-# max(10, need + 2) may pick
+# whose trapezoidal job has J = 17; grid_for caps a strike window there, and
+# a given J at the J = 19 the strike-window default max(10, need + 2) may pick
 _SCALE_TOL = 1e-8
 _MAX_K_HALF = 1 << 15
 _MAX_J = (2 * _MAX_K_HALF).bit_length()
@@ -35,20 +34,19 @@ _MAX_J = (2 * _MAX_K_HALF).bit_length()
 
 @dataclass(frozen=True)
 class WaveletGrid:
-    """The discretization: scale, coefficient range, resolutions, truncation."""
+    """The discretization: scale m, coefficient range [k1, k2), Parseval
+    node level J and truncation [a, b]."""
 
     m: int
     k1: int
     k2: int
     J: int
-    N: int
     a: float
     b: float
-    L: float | None = None
     # The last wide job of the auto_grid search that chose this grid, with
     # its coefficients and fhat, for PricingContext to reuse instead of
-    # redoing the cf call and FFT.  Only ``_grid`` sets it, for auto_grid and
-    # grid_for; it is not compared, not shown and not carried over by ``replace``.
+    # redoing the cf call and FFT.  Only auto_grid sets it; it is not
+    # compared, not shown and not carried over by ``replace``.
     _search: tuple[DensityJob, CoefficientArray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -61,8 +59,6 @@ class WaveletGrid:
             raise ValueError(f"k2-k1 = {self.k2 - self.k1} exceeds 2^J = {1 << self.J}")
         if not self.a < self.b:
             raise ValueError("need a < b")
-        if self.N < 1 or (self.N & (self.N - 1)) != 0:
-            raise ValueError("N must be a power of two")
 
 
 @dataclass(frozen=True)
@@ -407,17 +403,8 @@ def auto_grid(model: ModelSpec, L: float = 10.0, mass_tol: float = 1e-9,
             k_half *= 2
             if k_half > _MAX_K_HALF:
                 raise
-    return _grid(m, k1, k2, J, min(a, k1 / 2.0**m), max(b, k2 / 2.0**m), L,
-                 search=(wide, coeffs, fhat))
-
-
-def _grid(m, k1, k2, J, a, b, L, N=None, search=None) -> WaveletGrid:
-    """The package's one WaveletGrid build.  The payoff FFT size is ``N``,
-    or the coefficient count (at least 32), rounded up to a power of two."""
-    n = max(32, k2 - k1) if N is None else N
-    grid = WaveletGrid(m=m, k1=k1, k2=k2, J=J, N=1 << (n - 1).bit_length(),
-                       a=a, b=b, L=L)
-    object.__setattr__(grid, "_search", search)
+    grid = WaveletGrid(m, k1, k2, J, min(a, k1 / 2.0**m), max(b, k2 / 2.0**m))
+    object.__setattr__(grid, "_search", (wide, coeffs, fhat))
     return grid
 
 
@@ -431,27 +418,25 @@ def _k_range(m: int, lo: float, hi: float, L: float | None) -> tuple[int, int]:
 
 
 def grid_for(model: ModelSpec, m: int | None = None, J: int | None = None,
-             N: int | None = None, L: float | None = None, mass_tol: float = 1e-8,
+             L: float | None = None, mass_tol: float = 1e-8,
              strikes=None) -> WaveletGrid:
     """The command line's grid: the options given, the rest chosen.
 
     * ``m`` and ``J``, no ``strikes``: k in [-2^(J-1), 2^(J-1)), or the
       cumulant window of ``L`` at scale m; [a, b] = [k1, k2) / 2^m.
-    * else, no ``strikes``: ``auto_grid(model, L or 10, mass_tol, m=m)``;
-      a new ``N`` keeps its carried search.
+    * else, no ``strikes``: ``auto_grid(model, L or 10, mass_tol, m=m)``,
+      with its carried search.
     * ``strikes``: [a, b] is the cumulant window of ``L or 10`` when ``m``
       is given, else the auto grid's; k covers the classic window
       [2^m(a+z), 2^m(b+z)] of each strike and of z = b, one index to spare
       each side; J defaults to max(10, log2(k2 - k1) + 2).
 
-    ``N`` rounds up to a power of two.  A ``J`` that would be ignored, an
-    ``m``, ``J`` or ``N`` below 1, a ``mass_tol`` outside (0, 1) on any
-    grid, an ``N`` above 2^17 or a strike window that needs J > 17
-    (auto_grid's largest density job), a ``J`` above 19 (the largest the
-    strike-window default picks), and grid bounds that are not finite
-    floats raise ``ValueError``."""
-    for name, value, cap in (("m", m, math.inf), ("J", J, _MAX_J + 2),
-                             ("N", N, 1 << _MAX_J)):
+    A ``J`` that would be ignored, an ``m`` or ``J`` below 1, a
+    ``mass_tol`` outside (0, 1) on any grid, a strike window that needs
+    J > 17 (auto_grid's largest density job), a ``J`` above 19 (the
+    largest the strike-window default picks), and grid bounds that are not
+    finite floats raise ``ValueError``."""
+    for name, value, cap in (("m", m, math.inf), ("J", J, _MAX_J + 2)):
         if value is not None and not 1 <= value <= cap:
             raise ValueError(f"{name} must be in [1, {cap}], got {value}")
     if not 0 < mass_tol < 1:
@@ -465,15 +450,14 @@ def grid_for(model: ModelSpec, m: int | None = None, J: int | None = None,
         else:
             k1, k2 = _k_range(m, *truncation_interval(cumulants(model), L), L)
             k2 += 1
-        return _grid(m, k1, k2, J, k1 / 2.0**m, k2 / 2.0**m, L, N)
+        return WaveletGrid(m, k1, k2, J, k1 / 2.0**m, k2 / 2.0**m)
+    L = 10.0 if L is None else L
     if m is None or strikes is None:
-        auto = auto_grid(model, 10.0 if L is None else L, mass_tol=mass_tol, m=m)
+        auto = auto_grid(model, L, mass_tol=mass_tol, m=m)
         if strikes is None:
-            return _grid(auto.m, auto.k1, auto.k2, auto.J, auto.a, auto.b, auto.L,
-                         N, auto._search)
-        m, a, b, L = auto.m, auto.a, auto.b, auto.L
+            return auto
+        m, a, b = auto.m, auto.a, auto.b
     else:
-        L = 10.0 if L is None else L
         a, b = truncation_interval(cumulants(model), L)
     K = _check_strikes(strikes)
     # a zero strike prices 0 on every route and needs no coefficients
@@ -485,7 +469,7 @@ def grid_for(model: ModelSpec, m: int | None = None, J: int | None = None,
     if need > _MAX_J:
         raise ValueError(f"J = {need}, needed by the strike window [{k1}, {k2}), exceeds {_MAX_J}")
     J = J if J is not None else max(10, need + 2)
-    return _grid(m, k1, k2, J, a, b, L, N)
+    return WaveletGrid(m, k1, k2, J, a, b)
 
 
 class ReferenceError(RuntimeError):

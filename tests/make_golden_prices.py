@@ -37,7 +37,7 @@ PATH = Path(__file__).with_name("golden_prices.json")
 
 
 def grid_key(grid):
-    return [grid.m, grid.k1, grid.k2, grid.J, grid.N]
+    return [grid.m, grid.k1, grid.k2, grid.J]
 
 
 def record(doc, strikes=None):

@@ -78,8 +78,7 @@ def test_criterion_3_trapezoidal_superiority():
             (HESTON_HEAVY, 8, 12, -2048, 2048, [250000.0, 4000000.0]),
         ]
         for model, m, J, k1, k2, strikes in configs:
-            grid = WaveletGrid(m=m, k1=k1, k2=k2, J=J,
-                               N=max(32, k2 - k1), a=k1 / 2.0**m, b=k2 / 2.0**m)
+            grid = WaveletGrid(m=m, k1=k1, k2=k2, J=J, a=k1 / 2.0**m, b=k2 / 2.0**m)
             ctx_mid = PricingContext(model, grid, "midpoint")
             ctx_trap = PricingContext(model, grid, "trapezoidal")
             for K in strikes:
@@ -96,7 +95,7 @@ def test_criterion_4_quoted_otm_price():
         # the quoted row resolves at (m=8, J=8) with k2-k1 = 2^J; the
         # out-of-the-money option at strike 1.0064 > F is the call, and by
         # exact parity its error equals the put error
-        grid = WaveletGrid(m=8, k1=-128, k2=128, J=8, N=256, a=-0.5, b=0.5)
+        grid = WaveletGrid(m=8, k1=-128, k2=128, J=8, a=-0.5, b=0.5)
         ctx = PricingContext(HESTON_SHORT, grid, "trapezoidal")
         K = 1.0064
         ref_put = reference_put(HESTON_SHORT, K)
@@ -121,7 +120,7 @@ def test_criterion_6_forward_vs_classic_payoff():
         z_min, z_max = np.log(strikes[0]), np.log(strikes[-1])
         k1 = int(np.floor(2.0**m * (a + z_min))) - 1
         k2 = int(np.ceil(2.0**m * (b + z_max))) + 2
-        grid = WaveletGrid(m=m, k1=k1, k2=k2, J=14, N=512, a=a, b=b, L=12.0)
+        grid = WaveletGrid(m=m, k1=k1, k2=k2, J=14, a=a, b=b)
         ctx = PricingContext(HESTON_SHORT, grid, "trapezoidal")
         err_fwd, err_cls = [], []
         for K in strikes:
@@ -224,7 +223,7 @@ def test_criterion_8e_density_mass():
 def test_criterion_9_performance_orderings():
     with _Timer("criterion 9: performance orderings", 120.0):
         # FFT payoff path vs per-coefficient closed form at >= 1024 coeffs
-        grid = WaveletGrid(m=8, k1=-1024, k2=1024, J=12, N=2048, a=-4.0, b=4.0)
+        grid = WaveletGrid(m=8, k1=-1024, k2=1024, J=12, a=-4.0, b=4.0)
         job = PayoffJob(K=1.0, F=1.0, m=8, a=-4.0, b=4.0, k1=-1024, k2=1024, N=2048)
 
         def time_median(fn, reps=3):

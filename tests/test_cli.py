@@ -270,18 +270,18 @@ class TestGridOptions:
 
     @pytest.mark.parametrize("command, extra, expect", [
         ("price", ["--J", "20"], "J"),
-        ("bench", ["--N", "0"], "N"),
-        ("bench", ["--N", "-5"], "N"),
+        # no command takes --N: no output depends on it
+        ("bench", ["--N", "64"], "unrecognized"),
+        ("price", ["--N", "64"], "unrecognized"),
         ("price", ["--m", "6", "--J", "0"], "J"),
         ("price", ["--m", "0"], "m"),
         ("error-sweep", ["--J", "0"], "J"),
-        # density-table takes no --N: its output does not depend on it
         ("density-table", ["--m", "6", "--J", "8", "--N", "0"], "unrecognized"),
-        # an N that is not a power of two rounds up on every grid
-        ("bench", ["--N", "100", "--reps", "1"], 128),
-        ("bench", ["--m", "6", "--J", "8", "--N", "100", "--reps", "1"], 128),
+        # bench times grid_for's grid: the auto grid, or the m and J given
+        ("bench", ["--reps", "1"], 8),
+        ("bench", ["--m", "6", "--J", "9", "--reps", "1"], 9),
         # J without m is used where the strikes set the k-range
-        ("price", ["--payoff", "classic", "--J", "12"], 128),
+        ("price", ["--payoff", "classic", "--J", "12"], 12),
         ("error-sweep", ["--J", "12", "--strike", "100"], None),
         # mass_tol is checked on every grid, also where auto_grid never reads it
         ("density-table", ["--m", "6", "--J", "8", "--mass-tol", "5"], "mass_tol"),
@@ -301,7 +301,7 @@ class TestGridOptions:
         else:
             assert code == 0, err
             if expect is not None:
-                assert [g.N for g in grids] == [expect]
+                assert [g.J for g in grids] == [expect]
 
 
 class TestGridDomain:
@@ -327,7 +327,7 @@ class TestGridDomain:
         # past the largest J that grid_for picks (19), or past auto_grid's
         # largest density job (J = 17), given or needed
         (["price", "--m", "6", "--J", "40"], 1, []),
-        (["bench", "--N", "1099511627776"], 1, []),
+        (["price", "--payoff", "classic", "--m", "24", "--strike", "1e-300"], 1, []),
         (["error-sweep", "--m", "24", "--strike", "1e-300"], 1, []),
         # the default strikes F [e^(a/4), e^b] overflow
         pytest.param(["error-sweep", "--L", "100000"], 1, [],
@@ -386,7 +386,7 @@ class TestPriceJson:
         ctx = PricingContext(model, grid, density)
         prices = ctx.price_puts(strikes, route).tolist()
         shared = {"grid": {"m": grid.m, "k1": grid.k1, "k2": grid.k2, "J": grid.J,
-                           "N": grid.N, "a": grid.a, "b": grid.b},
+                           "a": grid.a, "b": grid.b},
                   "density_strategy": density, "payoff_strategy": route,
                   "cf_evals": ctx.cf_evals, "elapsed_seconds": 0.0}
         assert mask_elapsed(out) == mask_elapsed(price_json(strikes, prices, shared))
@@ -417,8 +417,8 @@ class TestPriceTable:
         grids = record_grids(monkeypatch)
         code, _, _ = run_cli(capsys, "price-table")
         assert code == 0
-        assert grids == 2 * [WaveletGrid(6, -16, 16, 5, 32, -0.25, 0.25)] + 2 * [
-            WaveletGrid(8, -2048, 2048, 12, 4096, -8.0, 8.0)]
+        assert grids == 2 * [WaveletGrid(6, -16, 16, 5, -0.25, 0.25)] + 2 * [
+            WaveletGrid(8, -2048, 2048, 12, -8.0, 8.0)]
 
     def test_classic_payoff_refused(self, capsys):
         # the fixed J = 5 grid cannot hold the strike-shifted window
@@ -483,7 +483,7 @@ class TestErrorSweep:
 
     def test_empty_strike_list_header_only(self, capsys, heston_short_file):
         args = argparse.Namespace(
-            model=heston_short_file, strike=[], m=8, J=10, N=None, L=12.0,
+            model=heston_short_file, strike=[], m=8, J=10, L=12.0,
             mass_tol=1e-8, density="trapezoidal", payoff="forward",
             out=None, format="csv", reps=1)
         code = cmd_error_sweep(args)
@@ -520,16 +520,16 @@ class TestErrorSweep:
         assert np.max(np.abs(got - want) / scale) <= 1e-13
 
     @pytest.mark.parametrize("model_file, pinned", [
-        ("lognormal_file", (8, -776, 1221, 13, 2048)),
-        ("heston_short_file", (8, -92, 146, 10, 256)),
-        ("heston_heavy_file", (8, -521, 823, 13, 2048)),
+        ("lognormal_file", (8, -776, 1221, 13)),
+        ("heston_short_file", (8, -92, 146, 10)),
+        ("heston_heavy_file", (8, -521, 823, 13)),
     ])
     def test_default_grids(self, capsys, monkeypatch, request, model_file, pinned):
         grids = record_grids(monkeypatch)
         code, _, _ = run_cli(capsys, "error-sweep", "--model",
                              request.getfixturevalue(model_file))
         assert code == 0
-        assert [(g.m, g.k1, g.k2, g.J, g.N) for g in grids] == [pinned]
+        assert [(g.m, g.k1, g.k2, g.J) for g in grids] == [pinned]
 
     def test_one_call_per_route(self, capsys, monkeypatch, heston_short_file):
         calls = []
@@ -636,7 +636,8 @@ class TestBench:
         assert lines[0] == "task,variant,k_count,median_seconds,cf_evals,warning"
         rows = [line.split(",") for line in lines[1:]]
         tasks = {(r[0], r[1]) for r in rows}
-        assert ("payoff", "em_fft") in tasks
+        assert ("payoff", "em_fft") not in tasks
+        assert ("pricing_warm_density", "em_fft") in tasks
         assert ("payoff", "si_ein_per_k") in tasks
         assert ("density", "trapezoidal_fft") in tasks
         assert ("density", "filon") in tasks
@@ -712,9 +713,9 @@ ACCEPTED = {
     "density-table": {"model", "m", "J", "L", "mass-tol", "out", "format"},
     "init-table": {"model", "m", "J", "L", "mass-tol", "reps", "out", "format"},
     "error-sweep": {"model", "strike", "m", "J", "L", "density", "out", "format"},
-    "bench": {"model", "m", "J", "N", "L", "mass-tol", "reps", "out", "format"},
+    "bench": {"model", "m", "J", "L", "mass-tol", "reps", "out", "format"},
 }
-OPTION_VALUES = {"model": None, "strike": "100", "m": "6", "J": "8", "N": "64", "L": "10",
+OPTION_VALUES = {"model": None, "strike": "100", "m": "6", "J": "8", "L": "10",
                  "mass-tol": "1e-8", "density": "filon", "payoff": "em-fft",
                  "out": "out.csv", "format": "json", "reps": "1"}
 PAIRS = [(command, option) for command in ACCEPTED for option in OPTION_VALUES]
@@ -726,7 +727,7 @@ def single_error_line(err):
 
 class TestParser:
     def test_option_table(self):
-        assert sum(map(len, ACCEPTED.values())) == 46
+        assert sum(map(len, ACCEPTED.values())) == 45
         assert set(cli_mod.COMMANDS) == set(ACCEPTED)
         assert set(cli_mod.OPTIONS) == set(OPTION_VALUES)
 

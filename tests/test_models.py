@@ -11,11 +11,12 @@ from oracles import (fd_cumulants, heston_cumulant_series, naive_heston_cf,
                      one_pass_heston_cf)
 from swiftpricer import (CoefficientArray, Cumulants, DensityJob, HestonParams,
                          LognormalParams, ModelSpec, PayoffJob, PricingContext, auto_grid,
-                         char_fn, cumulants, density_filon, em_correction_D,
-                         model_from_dict, model_from_json, payoff_classic_si_ein,
-                         payoff_forward_si_ein, reference_put)
+                         char_fn, cumulants, density_filon, model_from_dict,
+                         model_from_json, payoff_classic_si_ein, payoff_forward_si_ein,
+                         reference_put)
 from swiftpricer.density import _nodes
 from swiftpricer.models import _CF_BLOCK
+from swiftpricer.payoff import em_correction_D
 
 # pinned by two independent high-precision routes: a 40-digit evaluation of
 # the closed form and a DOP853 integration of the Riccati system (they agree

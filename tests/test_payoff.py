@@ -5,10 +5,10 @@ import pytest
 
 from oracles import quad_payoff_classic, quad_payoff_forward
 from scipy.integrate import quad
-from swiftpricer import (PayoffJob, em_correction_D, payoff_classic_si_ein,
-                         payoff_classic_simpson, payoff_classic_vieta,
-                         payoff_fft_euler_maclaurin, payoff_forward_si_ein)
-from swiftpricer.payoff import _end_terms, _moment
+from swiftpricer import (PayoffJob, payoff_classic_si_ein, payoff_classic_simpson,
+                         payoff_classic_vieta, payoff_fft_euler_maclaurin,
+                         payoff_forward_si_ein)
+from swiftpricer.payoff import _end_terms, _moment, em_correction_D
 
 # accuracy-table anchors for (K=1, m=6, k=-1, a=-1)
 TABLE_CLOSED = 0.0020420954069492

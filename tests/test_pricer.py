@@ -1,7 +1,7 @@
 """Tests for grid selection, pricing assembly, and the reference pricer."""
 
 import ast
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +39,7 @@ def fresh_draw(rng):
 
 
 def short_grid(J=5, m=6, kh=16):
-    return WaveletGrid(m=m, k1=-kh, k2=kh, J=J, N=max(32, 2 * kh),
-                       a=-kh / 2.0**m, b=kh / 2.0**m)
+    return WaveletGrid(m=m, k1=-kh, k2=kh, J=J, a=-kh / 2.0**m, b=kh / 2.0**m)
 
 
 class TestTruncationInterval:
@@ -220,13 +219,13 @@ class TestPricePut:
         assert f"{call:.4g}" == "0.006361"
 
     def test_lognormal_vs_black(self):
-        grid = WaveletGrid(m=5, k1=-64, k2=64, J=11, N=128, a=-2.0, b=2.0, L=10.0)
+        grid = WaveletGrid(m=5, k1=-64, k2=64, J=11, a=-2.0, b=2.0)
         res = PricingContext(LOGNORMAL_02, grid).price_put(100.0)
         assert res.price == pytest.approx(BLACK_ATM, abs=1e-8)
 
     def test_discount_factor_honored(self):
         model = ModelSpec(100.0, 1.0, 0.97, LognormalParams(vol=0.2))
-        grid = WaveletGrid(m=5, k1=-64, k2=64, J=11, N=128, a=-2.0, b=2.0)
+        grid = WaveletGrid(m=5, k1=-64, k2=64, J=11, a=-2.0, b=2.0)
         res = PricingContext(model, grid).price_put(100.0)
         assert res.price == pytest.approx(0.97 * BLACK_ATM, abs=1e-8)
         assert res.price == pytest.approx(
@@ -268,17 +267,17 @@ class TestForwardRoute:
 
 class TestPriceCall:
     def test_parity_at_the_money(self, lognormal):
-        grid = WaveletGrid(m=5, k1=-64, k2=64, J=11, N=128, a=-2.0, b=2.0)
+        grid = WaveletGrid(m=5, k1=-64, k2=64, J=11, a=-2.0, b=2.0)
         ctx = PricingContext(lognormal, grid)
         assert ctx.price_call(100.0).price == ctx.price_put(100.0).price
 
     def test_zero_strike(self, lognormal):
-        grid = WaveletGrid(m=5, k1=-64, k2=64, J=11, N=128, a=-2.0, b=2.0)
+        grid = WaveletGrid(m=5, k1=-64, k2=64, J=11, a=-2.0, b=2.0)
         res = PricingContext(lognormal, grid).price_call(0.0)
         assert res.price == lognormal.discount * lognormal.forward
 
     def test_vs_black_call(self, lognormal):
-        grid = WaveletGrid(m=5, k1=-64, k2=64, J=11, N=128, a=-2.0, b=2.0)
+        grid = WaveletGrid(m=5, k1=-64, k2=64, J=11, a=-2.0, b=2.0)
         res = PricingContext(lognormal, grid).price_call(100.0)
         assert res.price == pytest.approx(black76_call(100.0, 100.0, 1.0, 0.2),
                                           abs=1e-8)
@@ -313,9 +312,8 @@ class TestPricePuts:
 
     def test_folded_coefficients_on_short_payoff_grid(self, heston_short):
         # em_fft reads no coefficient: a window of odd k1 that spans most of
-        # 2^J = 256, with a payoff FFT size N = 32 far below it, prices as
-        # the oracle
-        grid = WaveletGrid(m=7, k1=-101, k2=139, J=8, N=32, a=-0.75, b=1.05)
+        # 2^J = 256 prices as the oracle
+        grid = WaveletGrid(m=7, k1=-101, k2=139, J=8, a=-0.75, b=1.05)
         ctx = PricingContext(heston_short, grid)
         check_against_oracle(ctx, np.linspace(0.5, 2.5, 41))
 
@@ -328,7 +326,7 @@ class TestPricePuts:
         F = heston_short.forward
         a = float(np.log(0.5 / F))  # z = ln(K/F) is exactly a at K = 0.5
         kh = min(120, nodes)
-        grid = WaveletGrid(m=7, k1=-kh, k2=kh, J=nodes.bit_length(), N=32, a=a, b=1.05)
+        grid = WaveletGrid(m=7, k1=-kh, k2=kh, J=nodes.bit_length(), a=a, b=1.05)
         ctx = PricingContext(heston_short, grid)
         assert ctx._em_sums[0].shape == {1: (1, 1), 2: (2, 1), 128: (16, 8),
                                          1 << 15: (256, 128)}[nodes]
@@ -379,7 +377,7 @@ class TestPricePuts:
             ctx.price_puts([[90.0, 100.0]])
 
     def test_grid_without_put_coverage_rejected(self, lognormal):
-        grid = WaveletGrid(m=5, k1=8, k2=64, J=11, N=64, a=0.25, b=2.0)
+        grid = WaveletGrid(m=5, k1=8, k2=64, J=11, a=0.25, b=2.0)
         ctx = PricingContext(lognormal, grid)
         with pytest.raises(ValueError, match="a < 0 <= b"):
             ctx.price_puts([100.0])
@@ -399,22 +397,21 @@ class TestPricePuts:
 class TestParsevalRoute:
     """em_fft prices from fhat on the level-J trapezoidal nodes alone."""
 
-    def test_same_prices_on_every_density_and_N(self, heston_short, monkeypatch):
-        grid = WaveletGrid(m=7, k1=-101, k2=139, J=8, N=32, a=-0.75, b=1.05)
+    def test_same_prices_on_every_density(self, heston_short, monkeypatch):
+        grid = WaveletGrid(m=7, k1=-101, k2=139, J=8, a=-0.75, b=1.05)
         strikes = np.linspace(0.4, 2.5, 43)
         want = PricingContext(heston_short, grid).price_puts(strikes)
         sizes = record_cf_points(monkeypatch)
         for density in ("trapezoidal", "midpoint", "filon"):
-            for N in (1, 32, 1 << 12):
-                ctx = PricingContext(heston_short, replace(grid, N=N), density)
-                before, init_evals = len(sizes), ctx.cf_evals
-                assert np.array_equal(ctx.price_puts(strikes), want), (density, N)
-                ctx.price_puts(strikes[::2])
-                # the trapezoidal context prices from the fhat its density
-                # used; the others evaluate the 2^(J-1) nodes once
-                extra = [] if density == "trapezoidal" else [1 << (grid.J - 1)]
-                assert sizes[before:] == extra, (density, N)
-                assert ctx.cf_evals == init_evals + sum(extra)
+            ctx = PricingContext(heston_short, grid, density)
+            before, init_evals = len(sizes), ctx.cf_evals
+            assert np.array_equal(ctx.price_puts(strikes), want), density
+            ctx.price_puts(strikes[::2])
+            # the trapezoidal context prices from the fhat its density
+            # used; the others evaluate the 2^(J-1) nodes once
+            extra = [] if density == "trapezoidal" else [1 << (grid.J - 1)]
+            assert sizes[before:] == extra, density
+            assert ctx.cf_evals == init_evals + sum(extra)
 
     @pytest.mark.parametrize("density", ["midpoint", "filon"])
     def test_carried_fhat_serves_every_density(self, lognormal, monkeypatch, density):
@@ -523,7 +520,7 @@ class TestSiEinRoutes:
             single["forward"], single["classic"]]
 
     def test_combined_call_refusals(self, heston_short):
-        grid = WaveletGrid(m=8, k1=-80, k2=80, J=9, N=256, a=-0.2815, b=0.2810)
+        grid = WaveletGrid(m=8, k1=-80, k2=80, J=9, a=-0.2815, b=0.2810)
         ctx = PricingContext(heston_short, grid)
         with pytest.raises(ValueError, match="not covered"):
             ctx.price_puts([1.0, 1.3], ("classic", "forward"))
@@ -545,8 +542,7 @@ class TestSiEinRoutes:
 class TestClassicRoute:
     def test_classic_equals_forward_near_money(self, heston_short):
         # wide window so the shifted classic range stays covered
-        grid = WaveletGrid(m=8, k1=-128, k2=192, J=10, N=512,
-                           a=-0.2815, b=0.2810, L=12.0)
+        grid = WaveletGrid(m=8, k1=-128, k2=192, J=10, a=-0.2815, b=0.2810)
         ctx = PricingContext(heston_short, grid, "trapezoidal")
         K = 1.001
         p_classic = ctx.price_put(K, "classic").price
@@ -556,8 +552,7 @@ class TestClassicRoute:
         assert abs(p_classic - ref) <= 1e-5  # intrinsically less accurate
 
     def test_uncovered_window_rejected(self, heston_short):
-        grid = WaveletGrid(m=8, k1=-80, k2=80, J=9, N=256,
-                           a=-0.2815, b=0.2810)
+        grid = WaveletGrid(m=8, k1=-80, k2=80, J=9, a=-0.2815, b=0.2810)
         ctx = PricingContext(heston_short, grid, "trapezoidal")
         with pytest.raises(ValueError, match="not covered"):
             ctx.price_put(1.3, "classic")
@@ -596,7 +591,7 @@ class TestStrikeIndependence:
             return real(model, u)
 
         monkeypatch.setattr(density_mod, "char_fn", counting)
-        grid = WaveletGrid(m=5, k1=-64, k2=64, J=11, N=128, a=-2.0, b=2.0)
+        grid = WaveletGrid(m=5, k1=-64, k2=64, J=11, a=-2.0, b=2.0)
         ctx = PricingContext(lognormal, grid, "trapezoidal")
         after_init = calls["n"]
         assert after_init == 1  # one vectorized batch
@@ -607,8 +602,7 @@ class TestStrikeIndependence:
 
 class TestStrategyAgreement:
     def test_all_combinations_agree(self, heston_short):
-        grid = WaveletGrid(m=8, k1=-256, k2=256, J=14, N=1024,
-                           a=-1.0, b=0.9)
+        grid = WaveletGrid(m=8, k1=-256, k2=256, J=14, a=-1.0, b=0.9)
         K = 1.01
         prices = []
         for dens in ("midpoint", "trapezoidal", "filon"):
@@ -741,15 +735,13 @@ class TestAutoGrid:
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            WaveletGrid(m=0, k1=-8, k2=8, J=5, N=32, a=-1.0, b=1.0)
+            WaveletGrid(m=0, k1=-8, k2=8, J=5, a=-1.0, b=1.0)
         with pytest.raises(ValueError):
-            WaveletGrid(m=4, k1=-8, k2=128, J=5, N=32, a=-1.0, b=1.0)
-        with pytest.raises(ValueError):
-            WaveletGrid(m=4, k1=-8, k2=8, J=5, N=48, a=-1.0, b=1.0)
+            WaveletGrid(m=4, k1=-8, k2=128, J=5, a=-1.0, b=1.0)
         with pytest.raises(ValueError, match="k1 < k2"):
-            WaveletGrid(m=4, k1=8, k2=8, J=5, N=32, a=-1.0, b=1.0)
+            WaveletGrid(m=4, k1=8, k2=8, J=5, a=-1.0, b=1.0)
         with pytest.raises(ValueError, match="a < b"):
-            WaveletGrid(m=4, k1=-8, k2=8, J=5, N=32, a=1.0, b=1.0)
+            WaveletGrid(m=4, k1=-8, k2=8, J=5, a=1.0, b=1.0)
 
     def test_window_past_the_widest_refused(self, heston_heavy):
         # at T = 10 the heavy set keeps 1.6e-4 of its mass outside the
@@ -760,7 +752,7 @@ class TestAutoGrid:
     def test_grid_for_cumulant_window(self, lognormal):
         # m and J with L: k covers 2^m times the cumulant window of L
         grid = grid_for(lognormal, 6, 8, L=5.0)
-        assert (grid.k1, grid.k2, grid.J, grid.N) == (-66, 64, 8, 256)
+        assert (grid.k1, grid.k2, grid.J) == (-66, 64, 8)
         assert (grid.a, grid.b) == (-66 / 64, 1.0)
 
     def test_grid_for_J_needs_m(self, lognormal):
@@ -841,11 +833,19 @@ class TestGridHandover:
         assert np.array_equal(coeffs.values, alone.values)
 
     @pytest.mark.parametrize("model", REFERENCE_MODELS)
-    def test_grid_for_is_auto_grid_with_its_search(self, model):
+    def test_grid_for_is_auto_grid_with_its_search(self, model, monkeypatch):
+        made = []
+        monkeypatch.setattr(pricer_mod, "auto_grid",
+                            lambda *args, **kw: made.append(auto_grid(*args, **kw)) or made[-1])
         auto, grid = auto_grid(model, mass_tol=1e-8), grid_for(model)
+        assert len(made) == 1 and made[0] is grid  # auto_grid's own object
         assert grid == auto
         assert grid._search[0] == auto._search[0]
         assert np.array_equal(grid._search[1].values, auto._search[1].values)
+        assert np.array_equal(grid._search[2], auto._search[2])
+        sizes = record_cf_points(monkeypatch)
+        PricingContext(model, grid).price_puts([model.forward], "em_fft")
+        assert sizes == []
 
     def test_cf_points_nested_and_handed_over(self, heston_heavy, monkeypatch):
         sizes = record_cf_points(monkeypatch)
@@ -890,8 +890,8 @@ class TestGridHandover:
             (lognormal, carrying(replace(grid, k2=job.k2 + 1)), "trapezoidal"),
             (lognormal, grid, "midpoint"),
             (lognormal, grid, "filon"),
-            (lognormal, WaveletGrid(grid.m, grid.k1, grid.k2, grid.J, grid.N,
-                                    grid.a, grid.b, grid.L), "trapezoidal"),
+            (lognormal, WaveletGrid(grid.m, grid.k1, grid.k2, grid.J, grid.a, grid.b),
+             "trapezoidal"),
             (lognormal, replace(grid, J=grid.J), "trapezoidal"),
         ]
         sizes = record_cf_points(monkeypatch)
@@ -905,13 +905,16 @@ class TestGridHandover:
 
     def test_carried_search_is_invisible(self, lognormal):
         grid = auto_grid(lognormal)
-        plain = WaveletGrid(grid.m, grid.k1, grid.k2, grid.J, grid.N, grid.a, grid.b, grid.L)
+        plain = WaveletGrid(grid.m, grid.k1, grid.k2, grid.J, grid.a, grid.b)
         assert plain._search is None and grid._search is not None
         assert grid == plain and hash(grid) == hash(plain)
         assert repr(grid) == repr(plain) and "_search" not in repr(grid)
-        with pytest.raises(TypeError):
-            WaveletGrid(grid.m, grid.k1, grid.k2, grid.J, grid.N, grid.a, grid.b,
-                        grid.L, _search=grid._search)
+        # the grid holds the discretization and nothing else
+        init = [f.name for f in fields(WaveletGrid) if f.init]
+        assert init == ["m", "k1", "k2", "J", "a", "b"]
+        for extra in ({"_search": grid._search}, {"N": 64}, {"L": 10.0}):
+            with pytest.raises(TypeError):
+                WaveletGrid(grid.m, grid.k1, grid.k2, grid.J, grid.a, grid.b, **extra)
 
     def test_non_finite_cf_is_a_numerical_failure(self, lognormal, monkeypatch):
         real = density_mod.char_fn
