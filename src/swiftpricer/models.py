@@ -188,9 +188,9 @@ def char_fn(model: ModelSpec, u):
     return complex(out[()]) if scalar else out
 
 
-# j! for j = 0..8: the factorials (n + 1)! and (n + 3)!, n = 0..5, of the
+# j! for j = 0..9: the factorials (n + 1)! and (n + 3)!, n = 0..6, of the
 # kappa -> 0 cumulant series
-_FACTORIALS = np.array([math.factorial(j) for j in range(9)], dtype=float)
+_FACTORIALS = np.array([math.factorial(j) for j in range(10)], dtype=float)
 
 
 def cumulants(model: ModelSpec) -> Cumulants:
@@ -198,7 +198,7 @@ def cumulants(model: ModelSpec) -> Cumulants:
 
     Lognormal: exact (c1 = -sigma^2 T/2, c2 = sigma^2 T).
     Heston: closed-form c1 and c2, by their series in kappa for
-    kappa T < 5e-4 (kappa = 0 included); no c4 (the convention noted at
+    kappa T < 5e-3 (kappa = 0 included); no c4 (the convention noted at
     the top of this module), adequate for seeding truncation guesses.
     """
     T = model.maturity
@@ -209,14 +209,15 @@ def cumulants(model: ModelSpec) -> Cumulants:
 
     k, th, s, r, v0 = dyn.kappa, dyn.theta, dyn.sigma, dyn.rho, dyn.v0
     x, y = k * T, s * T
-    if x < 5e-4:
-        # the closed forms below cancel as x -> 0 (c2 divides by 8 k^3):
-        # their series in x instead, whose terms past x^5 are below rounding
-        n = np.arange(6.0)
+    if x < 5e-3:
+        # the closed forms below cancel as x -> 0 (c2 divides by 8 k^3, and
+        # loses ~2e-16/x^3 of its relative accuracy): their series in x
+        # instead, whose terms past x^6 are below rounding
+        n = np.arange(7.0)
         a = y * y * ((2 ** (n + 2) - n - 3) * v0 - (2 ** (n + 1) - n - 2) * th)
         b = 2 * (n + 3) * (r * y * (n * th - (n + 1) * v0) + (n + 2) * (v0 - th * (n > 0)))
-        c1 = -th * T / 2.0 + (th - v0) * T / 2.0 * np.sum((-x) ** n / _FACTORIALS[1:7])
-        c2 = T * np.sum((-x) ** n * (a + b) / (2.0 * _FACTORIALS[3:9]))
+        c1 = -th * T / 2.0 + (th - v0) * T / 2.0 * np.sum((-x) ** n / _FACTORIALS[1:8])
+        c2 = T * np.sum((-x) ** n * (a + b) / (2.0 * _FACTORIALS[3:10]))
         return Cumulants(c1=float(c1), c2=float(c2))
     ekt = np.exp(-k * T)
     c1 = -th * T / 2.0 + (th - v0) * (1.0 - ekt) / (2.0 * k)

@@ -194,9 +194,12 @@ class PricingContext:
         g = self.grid
         return _end_terms(g.m, np.arange(g.k1, g.k2), g.a)
 
-    def _put_si_ein(self, K: float, routes) -> dict:
+    def _put_si_ein(self, K: float, routes, contexts=None) -> dict:
         """The ``forward`` and ``classic`` puts among ``routes`` of one
-        strike K > 0, by their Si/Ein closed forms.
+        strike K > 0, by their Si/Ein closed forms, on each of ``contexts``
+        (default: this one alone), which share this context's model and
+        grid: {route: [put on each context]}.  Each payoff vector is
+        computed once and dotted with every context's coefficients.
 
         With z = ln(K/F) and s = 2^m z, the classic form's 0-end terms at the
         shifted index k - s are at t = pi(0 - (k - s)), the same floats as
@@ -204,6 +207,7 @@ class PricingContext:
         are asked, one ``_end_terms`` call at z serves both.
         """
         g, B = self.grid, self.model.discount
+        coeffs = [c.coeffs.values for c in (contexts or (self,))]
         z = np.log(K / self.model.forward)
         ks = np.arange(g.k1, g.k2)
         z_terms = (_end_terms(g.m, ks, z)
@@ -212,7 +216,7 @@ class PricingContext:
         if "forward" in routes:
             V = payoff_forward_si_ein(K, self.model.forward, g.m, ks, g.a,
                                       self._forward_a_end, z_terms)
-            puts["forward"] = float(B * np.dot(self.coeffs.values, V))
+            puts["forward"] = [float(B * np.dot(c, V)) for c in coeffs]
         if "classic" in routes:
             # strike-centered payoff over the shifted window [a+z, z]: the
             # coefficient index k pairs with the classic formula at offset
@@ -225,7 +229,7 @@ class PricingContext:
             window = slice(k1c - g.k1, k2c - g.k1)
             zero_terms = None if z_terms is None else tuple(t[window] for t in z_terms)
             V = payoff_classic_si_ein(K, g.m, ks[window] - 2.0**g.m * z, g.a, zero_terms)
-            puts["classic"] = float(B * np.dot(self.coeffs.values[window], V))
+            puts["classic"] = [float(B * np.dot(c[window], V)) for c in coeffs]
         return puts
 
     def classic_dropped_mass(self, strikes) -> np.ndarray:
@@ -298,29 +302,7 @@ class PricingContext:
         ``classic`` share each strike's Si/Ein terms at z = ln(K/F)
         (``_put_si_ein``), with the same prices as asked one by one.
         """
-        routes = ((payoff_strategy,) if isinstance(payoff_strategy, str)
-                  else tuple(payoff_strategy))
-        for route in routes:
-            if route not in PAYOFF_STRATEGIES:
-                raise ValueError(f"unknown payoff strategy '{route}' "
-                                 f"(choose from {PAYOFF_STRATEGIES})")
-        K = _check_strikes(strikes)
-        rows = {route: np.zeros(K.shape) for route in routes}
-        with np.errstate(over="ignore", invalid="ignore"):
-            if "em_fft" in rows:
-                rows["em_fft"] = self._puts_em_fft(K)
-            if rows.keys() - {"em_fft"}:
-                for i in np.flatnonzero(K > 0.0):  # K = 0 stays 0: call(0) = B F exactly
-                    for route, put in self._put_si_ein(float(K[i]), rows).items():
-                        rows[route][i] = put
-        for route in routes:
-            bad = np.flatnonzero(~np.isfinite(rows[route]))
-            if bad.size:
-                raise FloatingPointError(f"the {route} price of strike "
-                                         f"{float(K[bad[0]])!r} is {rows[route][bad[0]]}")
-        if isinstance(payoff_strategy, str):
-            return rows[payoff_strategy]
-        return np.array([rows[route] for route in routes])
+        return price_puts_shared([self], strikes, payoff_strategy)[0]
 
     def _puts_em_fft(self, K: np.ndarray) -> np.ndarray:
         """em_fft puts by the paper's Parseval identity: the payoff transform
@@ -368,6 +350,40 @@ class PricingContext:
     def price_call(self, K: float, payoff_strategy: str = "forward") -> PricingResult:
         parity = self.model.discount * (self.model.forward - K)
         return PricingResult(self.price_put(K, payoff_strategy).price + parity)
+
+
+def price_puts_shared(contexts, strikes, payoff_strategy="em_fft") -> np.ndarray:
+    """``[c.price_puts(strikes, payoff_strategy) for c in contexts]`` as one
+    array, for contexts on one model and grid (say, two density strategies):
+    each strike's Si/Ein payoff vectors are computed once, for all of them,
+    and the prices are bit for bit those of the contexts asked one by one."""
+    routes = ((payoff_strategy,) if isinstance(payoff_strategy, str)
+              else tuple(payoff_strategy))
+    for route in routes:
+        if route not in PAYOFF_STRATEGIES:
+            raise ValueError(f"unknown payoff strategy '{route}' "
+                             f"(choose from {PAYOFF_STRATEGIES})")
+    first = contexts[0]
+    if any(c.model != first.model or c.grid != first.grid for c in contexts[1:]):
+        raise ValueError("contexts sharing payoffs need one model and one grid")
+    K = _check_strikes(strikes)
+    rows = {route: np.zeros((len(contexts),) + K.shape) for route in routes}
+    with np.errstate(over="ignore", invalid="ignore"):
+        if "em_fft" in rows:
+            for row, ctx in zip(rows["em_fft"], contexts):
+                row[:] = ctx._puts_em_fft(K)
+        if rows.keys() - {"em_fft"}:
+            for i in np.flatnonzero(K > 0.0):  # K = 0 stays 0: call(0) = B F exactly
+                for route, puts in first._put_si_ein(float(K[i]), rows, contexts).items():
+                    rows[route][:, i] = puts
+    for route in routes:
+        if not np.isfinite(rows[route]).all():
+            j, i = np.argwhere(~np.isfinite(rows[route]))[0]
+            raise FloatingPointError(f"the {route} price of strike "
+                                     f"{float(K[i])!r} is {rows[route][j, i]}")
+    if isinstance(payoff_strategy, str):
+        return rows[payoff_strategy]
+    return np.stack([rows[route] for route in routes], axis=1)
 
 
 def auto_grid(model: ModelSpec, L: float = 10.0, mass_tol: float = 1e-9,

@@ -223,7 +223,6 @@ def test_criterion_8e_density_mass():
 def test_criterion_9_performance_orderings():
     with _Timer("criterion 9: performance orderings", 120.0):
         # FFT payoff path vs per-coefficient closed form at >= 1024 coeffs
-        grid = WaveletGrid(m=8, k1=-1024, k2=1024, J=12, a=-4.0, b=4.0)
         job = PayoffJob(K=1.0, F=1.0, m=8, a=-4.0, b=4.0, k1=-1024, k2=1024, N=2048)
 
         def time_median(fn, reps=3):

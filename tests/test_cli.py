@@ -1,6 +1,7 @@
 """Tests for the command-line harness."""
 
 import argparse
+import ast
 import json
 import math
 import os
@@ -268,27 +269,34 @@ class TestPrice:
 class TestGridOptions:
     """The grid options of every command go through pricer.grid_for."""
 
+    # each case's id is pinned, so that deleting a case renames no other
     @pytest.mark.parametrize("command, extra, expect", [
-        ("price", ["--J", "20"], "J"),
+        pytest.param("price", ["--J", "20"], "J", id="price-extra0-J"),
         # no command takes --N: no output depends on it
-        ("bench", ["--N", "64"], "unrecognized"),
-        ("price", ["--N", "64"], "unrecognized"),
-        ("price", ["--m", "6", "--J", "0"], "J"),
-        ("price", ["--m", "0"], "m"),
-        ("error-sweep", ["--J", "0"], "J"),
-        ("density-table", ["--m", "6", "--J", "8", "--N", "0"], "unrecognized"),
+        pytest.param("bench", ["--N", "64"], "unrecognized", id="bench-extra1-unrecognized"),
+        pytest.param("price", ["--N", "64"], "unrecognized", id="price-extra2-unrecognized"),
+        pytest.param("price", ["--m", "6", "--J", "0"], "J", id="price-extra3-J"),
+        pytest.param("price", ["--m", "0"], "m", id="price-extra4-m"),
+        pytest.param("error-sweep", ["--J", "0"], "J", id="error-sweep-extra5-J"),
+        pytest.param("density-table", ["--m", "6", "--J", "8", "--N", "0"], "unrecognized",
+                     id="density-table-extra6-unrecognized"),
         # bench times grid_for's grid: the auto grid, or the m and J given
-        ("bench", ["--reps", "1"], 8),
-        ("bench", ["--m", "6", "--J", "9", "--reps", "1"], 9),
+        pytest.param("bench", ["--reps", "1"], 8, id="bench-extra7-8"),
+        pytest.param("bench", ["--m", "6", "--J", "9", "--reps", "1"], 9, id="bench-extra8-9"),
         # J without m is used where the strikes set the k-range
-        ("price", ["--payoff", "classic", "--J", "12"], 12),
-        ("error-sweep", ["--J", "12", "--strike", "100"], None),
+        pytest.param("price", ["--payoff", "classic", "--J", "12"], 12, id="price-extra9-12"),
+        pytest.param("error-sweep", ["--J", "12", "--strike", "100"], None,
+                     id="error-sweep-extra10-None"),
         # mass_tol is checked on every grid, also where auto_grid never reads it
-        ("density-table", ["--m", "6", "--J", "8", "--mass-tol", "5"], "mass_tol"),
-        ("price", ["--m", "6", "--J", "8", "--mass-tol", "-1"], "mass_tol"),
-        ("price", ["--mass-tol", "nan"], "mass_tol"),
-        ("init-table", ["--mass-tol", "1"], "mass_tol"),
-        ("bench", ["--m", "6", "--J", "8", "--mass-tol", "0"], "mass_tol"),
+        pytest.param("density-table", ["--m", "6", "--J", "8", "--mass-tol", "5"], "mass_tol",
+                     id="density-table-extra11-mass_tol"),
+        pytest.param("price", ["--m", "6", "--J", "8", "--mass-tol", "-1"], "mass_tol",
+                     id="price-extra12-mass_tol"),
+        pytest.param("price", ["--mass-tol", "nan"], "mass_tol", id="price-extra13-mass_tol"),
+        pytest.param("init-table", ["--mass-tol", "1"], "mass_tol",
+                     id="init-table-extra14-mass_tol"),
+        pytest.param("bench", ["--m", "6", "--J", "8", "--mass-tol", "0"], "mass_tol",
+                     id="bench-extra15-mass_tol"),
     ])
     def test_refused_or_rounded(self, capsys, monkeypatch, lognormal_file, command, extra,
                                 expect):
@@ -309,32 +317,39 @@ class TestGridDomain:
     auto_grid's largest density job, end in one message line and an exit
     code, no traceback."""
 
+    # each case's id is pinned, so that deleting a case renames no other
     @pytest.mark.parametrize("argv, code, cf_points", [
         # the seed window is refused before the search evaluates the cf
-        (["price", "--m", "25"], 2, []),
-        (["price", "--m", "40"], 2, []),
-        (["price", "--m", "1000"], 2, []),
-        (["price", "--m", "2000"], 2, []),
-        (["price", "--L", "1e12"], 2, [12]),      # select_scale's one call
-        (["price", "--L", "1e308"], 2, [12]),
+        pytest.param(["price", "--m", "25"], 2, [], id="argv0-2-cf_points0"),
+        pytest.param(["price", "--m", "40"], 2, [], id="argv1-2-cf_points1"),
+        pytest.param(["price", "--m", "1000"], 2, [], id="argv2-2-cf_points2"),
+        pytest.param(["price", "--m", "2000"], 2, [], id="argv3-2-cf_points3"),
+        # select_scale's one call
+        pytest.param(["price", "--L", "1e12"], 2, [12], id="argv4-2-cf_points4"),
+        pytest.param(["price", "--L", "1e308"], 2, [12], id="argv5-2-cf_points5"),
         # not finite: L itself, or the grid bounds 2^m [a, b]
-        (["price", "--L", "inf"], 1, [12]),
-        (["error-sweep", "--L", "inf", "--strike", "1"], 1, []),
-        (["price", "--m", "2000", "--J", "8"], 1, []),
-        (["price", "--m", "1", "--J", "1100"], 1, []),
-        (["error-sweep", "--m", "2000"], 1, []),
-        (["error-sweep", "--L", "1e308", "--strike", "1"], 1, []),
+        pytest.param(["price", "--L", "inf"], 1, [12], id="argv6-1-cf_points6"),
+        pytest.param(["error-sweep", "--L", "inf", "--strike", "1"], 1, [],
+                     id="argv7-1-cf_points7"),
+        pytest.param(["price", "--m", "2000", "--J", "8"], 1, [], id="argv8-1-cf_points8"),
+        pytest.param(["price", "--m", "1", "--J", "1100"], 1, [], id="argv9-1-cf_points9"),
+        pytest.param(["error-sweep", "--m", "2000"], 1, [], id="argv10-1-cf_points10"),
+        pytest.param(["error-sweep", "--L", "1e308", "--strike", "1"], 1, [],
+                     id="argv11-1-cf_points11"),
         # past the largest J that grid_for picks (19), or past auto_grid's
         # largest density job (J = 17), given or needed
-        (["price", "--m", "6", "--J", "40"], 1, []),
-        (["price", "--payoff", "classic", "--m", "24", "--strike", "1e-300"], 1, []),
-        (["error-sweep", "--m", "24", "--strike", "1e-300"], 1, []),
+        pytest.param(["price", "--m", "6", "--J", "40"], 1, [], id="argv12-1-cf_points12"),
+        pytest.param(["price", "--payoff", "classic", "--m", "24", "--strike", "1e-300"], 1, [],
+                     id="argv13-1-cf_points13"),
+        pytest.param(["error-sweep", "--m", "24", "--strike", "1e-300"], 1, [],
+                     id="argv14-1-cf_points14"),
         # the default strikes F [e^(a/4), e^b] overflow
-        pytest.param(["error-sweep", "--L", "100000"], 1, [],
+        pytest.param(["error-sweep", "--L", "100000"], 1, [], id="argv15-1-cf_points15",
                      marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
         # the Si/Ein closed form overflows where k/2^m - z > 709: the forward
         # price is NaN, refused instead of printed
         pytest.param(["error-sweep", "--m", "1", "--L", "30000", "--strike", "1"], 2, [16384],
+                     id="argv16-2-cf_points16",
                      marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     ])
     def test_refused(self, capsys, monkeypatch, heston_short_file, argv, code, cf_points):
@@ -896,42 +911,46 @@ class TestParser:
 
 
 class TestScipyImports:
-    """scipy is imported by the functions that call it, not by the CLI.  In
+    """No command loads any scipy module: scipy is a test oracle only.  In
     a fresh interpreter: the test process has loaded scipy already."""
 
     SCRIPT = """
 import contextlib, io, sys
-from swiftpricer import specfun
 from swiftpricer.cli import main
 
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([*argv[:1], "--model", sys.argv[1], *argv[1:]]) == 0
-    return sorted(m for m in ("scipy.special", "scipy.fft") if m in sys.modules)
 
-print(run("price", "--payoff", "em-fft", "--strike", "90", "--strike", "110"))
-print(run("density-table", "--m", "6", "--J", "6"))
-print(run("init-table", "--m", "6", "--J", "6", "--reps", "1"))
-print(run("error-sweep", "--strike", "90"))
-print(run("bench", "--reps", "1"))
+for payoff in ("em-fft", "forward", "classic"):
+    run("price", "--payoff", payoff, "--strike", "90", "--strike", "110")
+run("density-table", "--m", "6", "--J", "6")
+run("init-table", "--m", "6", "--J", "6", "--reps", "1")
+run("error-sweep", "--strike", "90")
+run("bench", "--reps", "1")
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["table1"]) == 0 and main(["price-table"]) == 0
 from swiftpricer.transform import cos_sin_sum, dct2_via_fft, dst2_via_fft
 dct2_via_fft([1.0, 2.0]), dst2_via_fft([1.0, 2.0]), cos_sin_sum([1.0], [2.0], [0, 5])
-print(sorted(m for m in ("scipy.special", "scipy.fft") if m in sys.modules))
-import scipy.special
-specfun.si(1.0), specfun.ein(3.0 + 4.0j)  # |w| <= 50 calls exp1
-print(specfun.exp1 is scipy.special.exp1, specfun.sici is scipy.special.sici)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
-    def test_only_the_si_ein_routes_load_scipy_special(self, lognormal_file):
+    def test_no_command_loads_scipy(self, lognormal_file):
         src = str(Path(cli_mod.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, lognormal_file],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        # each wrapper binds scipy's function on its first call
-        assert proc.stdout.splitlines() == ["[]", "[]", "[]", "['scipy.special']",
-                                            "['scipy.special']", "['scipy.special']",
-                                            "True True"]
+        assert proc.stdout.splitlines() == ["[]"]
+
+    def test_no_module_imports_scipy(self):
+        package = Path(cli_mod.__file__).resolve().parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    found += [(path.name, a.name) for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    found.append((path.name, node.module))
+        assert [f for f in found if f[1].split(".")[0] == "scipy"] == []

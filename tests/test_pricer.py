@@ -539,6 +539,41 @@ class TestSiEinRoutes:
             ctx.price_puts([0.0, 1.0], ("classic", "forward"))
 
 
+class TestSharedContexts:
+    """``price_puts_shared``: contexts on one model and grid priced with one
+    set of Si/Ein payoff vectors per strike."""
+
+    ROUTES = ("forward", "classic", "em_fft", ("classic", "forward"))
+
+    @pytest.mark.parametrize("route", ROUTES, ids=["forward", "classic", "em_fft", "both"])
+    def test_bit_for_bit_the_contexts_one_by_one(self, heston_short, route):
+        strikes = [0.0, 0.9, 1.0, 1.0064, 1.064]
+        grid = grid_for(heston_short, m=6, J=8, strikes=strikes)
+        contexts = [PricingContext(heston_short, grid, d) for d in ("midpoint", "trapezoidal")]
+        got = pricer_mod.price_puts_shared(contexts, strikes, route)
+        want = np.array([c.price_puts(strikes, route) for c in contexts])
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_each_payoff_computed_once(self, heston_short, monkeypatch):
+        # the two contexts take the Ein points of one
+        points, ein = [], payoff_mod.ein
+        monkeypatch.setattr(payoff_mod, "ein", lambda z: points.append(np.size(z)) or ein(z))
+        strikes = [0.95, 1.0064, 1.064]
+        grid = grid_for(heston_short, m=6, J=8, strikes=strikes)
+        PricingContext(heston_short, grid).price_puts(strikes, ("classic", "forward"))
+        one = sum(points)
+        points.clear()
+        contexts = [PricingContext(heston_short, grid, d) for d in ("midpoint", "trapezoidal")]
+        pricer_mod.price_puts_shared(contexts, strikes, ("classic", "forward"))
+        assert sum(points) == one > 0
+
+    def test_refuses_contexts_on_other_grids(self, heston_short):
+        a = PricingContext(heston_short, grid_for(heston_short, m=6, J=8))
+        b = PricingContext(heston_short, grid_for(heston_short, m=7, J=8))
+        with pytest.raises(ValueError, match="one model and one grid"):
+            pricer_mod.price_puts_shared([a, b], [1.0], "forward")
+
+
 class TestClassicRoute:
     def test_classic_equals_forward_near_money(self, heston_short):
         # wide window so the shifted classic range stays covered

@@ -175,25 +175,63 @@ class TestEinPayoffRay:
                 if abs(z.real) <= 50.0:
                     assert abs(ein(z).imag - quad_exp_sin(z.real, z.imag)) <= 1e-13 * abs(ref), z
 
-    def test_sector_array_makes_no_exp1_call(self, monkeypatch):
-        # a payoff-ray array wholly past |z| = 50, in both half planes: the
-        # Taylor and exp1 branches are empty and skipped, and the values
-        # are bit for bit those of the same points among other branches
+    def test_ray_array_equals_mixed_array(self):
+        # a payoff-ray array wholly past |z| = 50, in both half planes, gives
+        # bit for bit the values of the same points among points of the
+        # other regions
         ts = np.concatenate([np.geomspace(60.0, 1e5, 50), -np.geomspace(60.0, 1e5, 50)])
         zs = -ts / (np.pi * 2.0**6) + 1j * ts
-        mixed = ein(np.concatenate([zs, [0.5 + 0.5j, 10.0j]]))
-        calls = []
+        mixed = ein(np.concatenate([zs, [0.5 + 0.5j, 10.0j, -50.0 + 1.0j]]))
+        assert np.array_equal(ein(zs), mixed[:zs.size])
 
-        def recording(w):
-            calls.append(np.size(w))
-            return exp1(w)
 
-        monkeypatch.setattr(specfun, "exp1", recording)
-        got = ein(zs)
-        assert calls == []
-        assert np.array_equal(got, mixed[:zs.size])
-        ein(np.array([10.0j]))
-        assert calls == [1]
+class TestRegionsAgainstMpmath:
+    """Each region of si and ein, on both sides of every region edge and on
+    seeded draws, against 40-digit mpmath, within the accuracy contract."""
+
+    @pytest.fixture
+    def mp(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            yield mp
+
+    def test_laguerre_rule(self, mp):
+        # Newton's method on L_64 from each stored node, and the weight
+        # 1/(u L_64'(u)^2); L_64' = -L_63^(1)
+        for u0, l0 in zip(specfun._LAG_U, specfun._LAG_L):
+            u = mp.mpf(float(u0))
+            for _ in range(4):
+                u += mp.laguerre(64, 0, u) / mp.laguerre(63, 1, u)
+            assert abs(u - u0) <= np.spacing(u0)
+            assert abs(1 / (u * mp.laguerre(63, 1, u) ** 2) - l0) <= np.spacing(l0)
+
+    def test_ein(self, mp):
+        rng = np.random.default_rng(32)
+        zs = list(rng.uniform(-50, 50, 60) + 1j * rng.uniform(-5000, 5000, 60))
+        zs += list(rng.uniform(-50, 50, 60) + 1j * rng.uniform(-60, 60, 60))
+        # s = |w| + Re w = r (1 + cos theta) at the edges s = 3 and 200, and
+        # |w| = 45 inside s <= 3
+        for s0, radii in ((specfun._SERIES_S, (1.6, 4.0, 20.0, 44.0, 52.0)),
+                          (specfun._FRACTION_S, (101.0, 150.0, 700.0))):
+            for r in radii:
+                theta = np.arccos(s0 / r - 1.0)
+                zs += [r * np.exp(1j * (theta + d)) for d in (-1e-9, 1e-9)]
+        theta = np.pi - 0.1
+        zs += [r * np.exp(1j * theta) for r in (45.0 - 1e-9, 45.0 + 1e-9)]
+        zs = np.array(zs)
+        zs = np.concatenate([zs, zs.conj()])
+        for z, got in zip(zs, ein(zs)):
+            w = mp.mpc(z.real, z.imag)
+            ref = complex(mp.euler + mp.log(w) + mp.e1(w))
+            assert abs(got - ref) <= 1e-13 * abs(ref), z
+
+    def test_si(self, mp):
+        rng = np.random.default_rng(33)
+        xs = [*rng.uniform(-1e5, 1e5, 60), *rng.uniform(-200, 200, 60)]
+        for edge in (specfun._SERIES_S, specfun._SI_ASYM_X):
+            xs += [sign * (edge + d) for sign in (1, -1) for d in (-1e-9, 1e-9)]
+        for x, got in zip(xs, si(np.array(xs))):
+            assert abs(got - float(mp.si(float(x)))) <= 1e-14, x
 
 
 class TestNonFinite:
