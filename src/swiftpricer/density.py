@@ -228,22 +228,23 @@ def _poly_eval(c, s):
     return ((c[3] * s + c[2]) * s + c[1]) * s + c[0]
 
 
-# The small-theta moments' Taylor table, T[j, p] = 1/(j! (p + j + 1)):
-# m_p = sum_j (i theta)^j T[j, p]
-_TAYLOR = np.array([[1.0 / (math.factorial(j) * (p + j + 1)) for p in range(4)]
-                    for j in range(25)])
+# The small-theta moments' Taylor table, T[p, j] = 1/(j! (p + j + 1)):
+# m_p = sum_j T[p, j] (i theta)^j
+_TAYLOR = np.array([[1.0 / (math.factorial(j) * (p + j + 1)) for j in range(25)]
+                    for p in range(4)])
 
 
 def _moments(theta: np.ndarray) -> np.ndarray:
     """m_p = int_0^1 s^p e^{i theta s} ds for p = 0..3, vectorized in theta.
 
     Upward recursion m_p = (e^{i theta} - p m_{p-1})/(i theta) is stable for
-    |theta| >= 1/2; below that the Taylor series avoids the cancellation,
-    summed as one product of the powers (i theta)^j with ``_TAYLOR``.
+    |theta| >= 1/2; below that the Taylor series avoids the cancellation:
+    the powers (i theta)^j, a running product down the rows j, summed
+    against ``_TAYLOR`` by one real einsum of their float view.
     """
     theta = np.asarray(theta, dtype=float)
     it = 1j * theta
-    eit = np.exp(it)
+    eit = _cis(theta)
     small = np.abs(theta) < 0.5
     safe = np.where(small, 1.0, it)
     out = np.empty((4,) + theta.shape, dtype=complex)
@@ -251,10 +252,11 @@ def _moments(theta: np.ndarray) -> np.ndarray:
     for p in range(1, 4):
         out[p] = (eit - p * out[p - 1]) / safe
     if np.any(small):
-        powers = np.empty((np.count_nonzero(small), len(_TAYLOR)), dtype=complex)
-        powers[:, 0] = 1.0
-        powers[:, 1:] = it[small, None]
-        out[:, small] = (np.cumprod(powers, axis=1) @ _TAYLOR).T
+        powers = np.empty((_TAYLOR.shape[1], np.count_nonzero(small)), dtype=complex)
+        powers[0] = 1.0
+        powers[1:] = it[small]
+        np.multiply.accumulate(powers, axis=0, out=powers)
+        out[:, small] = np.einsum("pj,jm->pm", _TAYLOR, powers.view(float)).view(complex)
     return out
 
 
@@ -263,15 +265,17 @@ def _level_sum(ts, cs, q, mom) -> np.ndarray:
     ``ts`` of one level, for k = _K_SPLIT q + r, as a (q, r) array.
 
     With e^{2 pi i k t} = e^{2 pi i _K_SPLIT q t} e^{2 pi i r t} the sum over
-    t is one complex product of the q factors, (q x t), with the r factors
-    times each cubic coefficient, (t x 4 r), per block of panels and rows.
-    t is dyadic, so _K_SPLIT q t and r t are exact while |k| 2^{depth+1} stays
+    t is one product of the q factors, (q x t), with the r factors times each
+    cubic coefficient, (t x 4 r), per block of panels and rows.  t is
+    dyadic, so _K_SPLIT q t and r t are exact while |k| 2^{depth+1} stays
     below 2^53 (|k| < 2^12 at _MAX_DEPTH) and each angle is reduced mod 1
     before its one rounding; past that the product is rounded once first.
 
-    The factors of a k do not depend on the rows around it, but the matrix
-    product's summation order may (a one-row block is a matrix-vector
-    product), so windows [k1, k2) agree on a coefficient to rounding.
+    The product is a real einsum, not BLAS, whose threads stalled here: a
+    panel's row of 4 r waves, and i times it, as floats, times the real and
+    imaginary parts of its q factors, added to each q row in panel order.
+    The factors of a k do not depend on the rows around it, so windows
+    [k1, k2) agree on a coefficient bit for bit.
     """
     mom = mom.reshape(4, q.size, _K_SPLIT)
     r = np.arange(_K_SPLIT)
@@ -279,13 +283,14 @@ def _level_sum(ts, cs, q, mom) -> np.ndarray:
     chunk = _BLOCK_ELEMENTS // (4 * _K_SPLIT)
     for p0 in range(0, ts.size, chunk):
         t, c = ts[p0:p0 + chunk], cs[:, p0:p0 + chunk]
-        waves = c[:, :, None] * _cis(2.0 * np.pi * np.modf(np.outer(t, r))[0])
-        waves = waves.transpose(1, 0, 2).reshape(t.size, 4 * _K_SPLIT)
+        waves = c.T[:, :, None] * _cis(2.0 * np.pi * np.modf(np.outer(t, r))[0])[:, None, :]
+        waves = np.stack([waves, 1j * waves], axis=1).view(float).reshape(t.size, 2, -1)
         step = max(1, _BLOCK_ELEMENTS // t.size)
         for lo in range(0, q.size, step):
             rows = slice(lo, lo + step)
             phase = _cis(2.0 * np.pi * np.modf(np.outer(_K_SPLIT * q[rows], t))[0])
-            sums = (phase @ waves).reshape(-1, 4, _K_SPLIT)
+            sums = np.einsum("qtx,txc->qc", phase.view(float).reshape(-1, t.size, 2), waves)
+            sums = sums.view(complex).reshape(-1, 4, _K_SPLIT)
             mb = mom[:, rows]
             out[rows] += (mb[0] * sums[:, 0] + mb[1] * sums[:, 1]
                           + mb[2] * sums[:, 2] + mb[3] * sums[:, 3])

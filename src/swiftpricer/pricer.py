@@ -198,8 +198,8 @@ class PricingContext:
         """The ``forward`` and ``classic`` puts among ``routes`` of one
         strike K > 0, by their Si/Ein closed forms, on each of ``contexts``
         (default: this one alone), which share this context's model and
-        grid: {route: [put on each context]}.  Each payoff vector is
-        computed once and dotted with every context's coefficients.
+        grid: {route: [put on each context]}.  Each payoff vector is computed
+        once and dotted with every context's coefficients by einsum (no BLAS).
 
         With z = ln(K/F) and s = 2^m z, the classic form's 0-end terms at the
         shifted index k - s are at t = pi(0 - (k - s)), the same floats as
@@ -216,7 +216,7 @@ class PricingContext:
         if "forward" in routes:
             V = payoff_forward_si_ein(K, self.model.forward, g.m, ks, g.a,
                                       self._forward_a_end, z_terms)
-            puts["forward"] = [float(B * np.dot(c, V)) for c in coeffs]
+            puts["forward"] = [float(B * np.einsum("k,k->", c, V)) for c in coeffs]
         if "classic" in routes:
             # strike-centered payoff over the shifted window [a+z, z]: the
             # coefficient index k pairs with the classic formula at offset
@@ -229,7 +229,7 @@ class PricingContext:
             window = slice(k1c - g.k1, k2c - g.k1)
             zero_terms = None if z_terms is None else tuple(t[window] for t in z_terms)
             V = payoff_classic_si_ein(K, g.m, ks[window] - 2.0**g.m * z, g.a, zero_terms)
-            puts["classic"] = [float(B * np.dot(c[window], V)) for c in coeffs]
+            puts["classic"] = [float(B * np.einsum("k,k->", c[window], V)) for c in coeffs]
         return puts
 
     def classic_dropped_mass(self, strikes) -> np.ndarray:
@@ -316,9 +316,10 @@ class PricingContext:
         1/2, and the Nyquist node is left out, as in the density loader.  The
         integrand is Hermitian, so this is the periodic full-line trapezoid:
         no end correction.  With j = h s + l, e^{i u_j z} = e^{i delta s h z}
-        e^{i delta l z}, so a block of strikes costs one complex matrix
-        product, sum_h E_hi[h] (W @ E_lo)[h], and 2^(J-1)/s + s exponentials
-        per strike.
+        e^{i delta l z}, so a strike costs 2^(J-1)/s + s exponentials and the
+        sums sum_h E_hi[h] sum_l W[h, l] E_lo[l]: einsums (no BLAS) over its
+        own row, so its price depends neither on the strikes beside it nor
+        on the thread count.
         """
         g, F = self.grid, self.model.forward
         if not g.a < 0 <= g.b:
@@ -337,9 +338,9 @@ class PricingContext:
             idx = live[lo:lo + step]
             zb = z[idx]
             t = delta * zb
-            e_lo = _cis(np.outer(np.arange(s), t))
-            e_hi = _cis(np.outer(np.arange(0, n_hi * s, s), t))
-            waves = np.sum(e_hi * (W @ e_lo), axis=0).real
+            e_lo = _cis(np.outer(t, np.arange(s)))
+            e_hi = _cis(np.outer(t, np.arange(0, n_hi * s, s)))
+            waves = np.einsum("bh,bh->b", e_hi, np.einsum("hs,bs->bh", W, e_lo)).real
             ez = np.exp(zb)
             sums[idx] = ez * (waves + a0) + b0 + 0.5 * (ez * (zb - g.a - 1.0) + math.exp(g.a))
         return self.model.discount * F * math.ldexp(1.0, g.m - g.J + 1) * sums

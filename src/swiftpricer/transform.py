@@ -26,11 +26,24 @@ def _pow2(n: int) -> int:
 
 
 def _cis(theta) -> np.ndarray:
-    """e^{i theta} for real theta, filled in place as cos + i sin: about
-    half the time of np.exp(1j * theta)."""
-    out = np.empty(np.shape(theta), dtype=complex)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
+    """e^{i theta} for real theta, the one kernel of every such factor in
+    the package: cos = (1 - t^2)/(1 + t^2) and sin = 2t/(1 + t^2) with
+    t = tan(theta/2), filled in place.  numpy's float64 tan is vectorized
+    where its cos and sin are not (x86-64 with AVX-512): this took 0.4 of
+    the time of cos plus sin, or of np.exp(1j * theta), on 10^5 points and
+    0.75 on 10^3.  On 1400 seeded |theta| up to 1e12 and 126 floats next to
+    odd multiples of pi up to 1e12, where |t| is largest (1.6e16), it is
+    within 1.9e-16 absolute of 40-digit mpmath (np.cos and np.sin: 5.5e-17);
+    ``tests/test_transform.py`` holds it to 2.5e-16 there."""
+    t = np.tan(0.5 * np.asarray(theta, dtype=float))
+    d = t * t
+    out = np.empty(t.shape, dtype=complex)
+    cos, sin = out.real, out.imag
+    np.subtract(1.0, d, out=cos)
+    d += 1.0
+    cos /= d
+    np.add(t, t, out=sin)
+    sin /= d
     return out
 
 

@@ -309,6 +309,9 @@ class TestPricePuts:
         below = strikes <= F * np.exp(grid.a)
         assert below.sum() >= 2 and np.all(got[below] == 0.0)
         assert np.sum(strikes > F * np.exp(grid.b)) >= 2
+        # a price depends on its own strike alone: bit for bit as priced by
+        # itself, whatever strikes share its block
+        assert got.tolist() == [ctx.price_puts([K])[0] for K in strikes.tolist()]
 
     def test_folded_coefficients_on_short_payoff_grid(self, heston_short):
         # em_fft reads no coefficient: a window of odd k1 that spans most of
@@ -460,12 +463,13 @@ class TestParsevalRoute:
 
 
 def forward_oracle(ctx, K):
-    """B sum_k c_k V_k(K), V from one ``payoff_forward_si_ein`` call."""
+    """B sum_k c_k V_k(K), V from one ``payoff_forward_si_ein`` call, summed
+    by the pricer's einsum (BLAS's dot rounds by its thread count)."""
     g, F = ctx.grid, ctx.model.forward
     if K == 0.0:
         return 0.0
     V = payoff_forward_si_ein(K, F, g.m, np.arange(g.k1, g.k2), g.a)
-    return float(ctx.model.discount * np.dot(ctx.coeffs.values, V))
+    return float(ctx.model.discount * np.einsum("k,k->", ctx.coeffs.values, V))
 
 
 def classic_oracle(ctx, K):
@@ -477,7 +481,7 @@ def classic_oracle(ctx, K):
     k1 = int(np.floor(2.0**g.m * (g.a + z)))
     k2 = int(np.ceil(2.0**g.m * (g.b + z))) + 1
     V = payoff_classic_si_ein(K, g.m, np.arange(k1, k2) - 2.0**g.m * z, g.a)
-    return float(ctx.model.discount * np.dot(ctx.coeffs.values[k1 - g.k1:k2 - g.k1], V))
+    return float(ctx.model.discount * np.einsum("k,k->", ctx.coeffs.values[k1 - g.k1:k2 - g.k1], V))
 
 
 class TestSiEinRoutes:

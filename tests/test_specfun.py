@@ -79,8 +79,10 @@ class TestEin:
             assert abs(ein(z) - ref) <= 1e-12 * abs(ref)
 
     def test_crossover_continuity(self):
-        # points straddling |z| = 1, where the Taylor series hands over to
-        # the exp1 identity, and spot checks on |z| = 10 and 40
+        # points straddling |z| = 1, an edge of an earlier region layout,
+        # all inside ein's Taylor region (s = |w| + Re w <= 2 < 3), and spot
+        # checks on |z| = 10 and 40: Laguerre (3 < s <= 200), but Taylor at
+        # (40, 2.8), where s = 1.2 and |w| = 40 <= 45
         for r, theta in [(1.0, 0.0), (1.0, 0.7), (1.0, 1.6), (1.0, 2.5),
                          (1.0, np.pi), (1.0, -2.0), (10.0, 0.3), (10.0, 2.0),
                          (40.0, 1.2), (40.0, 2.8)]:
@@ -132,8 +134,10 @@ class TestExpSinIntegral:
             assert abs(exp_sin_integral(a, b) - ref) <= 1e-11 * (1 + abs(ref))
 
 
-# |z| where ein's evaluation could switch: 1 (Taylor), 50 (continued
-# fraction); 8, 20, 200 and 1000 bound the depth bands a fraction could use
+# |z| on the payoff rays, in ein's Laguerre region (3 < s <= 200, s =
+# |w| + Re w) and its continued fraction (s > 200).  The rays' region edges,
+# s = 3 and s = 200, are added per ray in test_band_by_band; the third
+# edge, |w| = 45 within s <= 3, lies off the rays, where s >= 0.84 |z|.
 EIN_RADII = (8.0, 20.0, 50.0, 200.0, 1000.0)
 
 
@@ -150,7 +154,11 @@ class TestEinPayoffRay:
     def test_band_by_band(self, m, sign):
         p = np.pi * 2.0**m
         scale = np.hypot(1.0, 1.0 / p)  # |z| / |t|
-        ts = [r / scale * (1 + eps) for r in EIN_RADII for eps in (-1e-6, 1e-6)]
+        # s / |t| on the ray: w = z = t(-1/p + i) for t > 0, conj z for t < 0
+        s_rate = scale - sign / p
+        edges = [r / scale for r in EIN_RADII] + [s / s_rate for s in
+                                                  (specfun._SERIES_S, specfun._FRACTION_S)]
+        ts = [t * (1 + eps) for t in edges for eps in (-1e-6, 1e-6)]
         ts = sign * np.array(ts + [1300.0, 1700.0, 2000.0])
         zs = -ts / p + 1j * ts
         got = ein(zs)
@@ -161,9 +169,13 @@ class TestEinPayoffRay:
             assert ein(complex(z)) == v
 
     def test_crossover_continuity(self):
-        # both sides of |z| = 50, where exp1 hands over to the continued
-        # fraction, at angles up to the sector edge Re z = -Im z/4, and
-        # both sides of that edge at radii from 50 to 2000
+        # both sides of |z| = 50 at angles up to the sector edge
+        # Re z = -Im z/4, and both sides of that edge at radii from 50 to
+        # 2000: the hand-over lines of an earlier region layout.  ein's
+        # edges are s = |w| + Re w = 3 and 200 (and |w| = 45 within s <= 3);
+        # on |z| = 50 these points have 38 <= s <= 100 (Laguerre), and on the
+        # sector edge s = 0.76 |z|, past 200 (continued fraction) from
+        # |z| = 264
         edge = np.pi - np.arctan(4.0)
         pts = [(r, theta) for r in (50.0 - 1e-9, 50.0 + 1e-9)
                for theta in np.linspace(0.0, edge, 9)]

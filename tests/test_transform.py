@@ -1,4 +1,5 @@
-"""Tests for the real inverse DFT and the DCT/DST constructions."""
+"""Tests for the real inverse DFT, the DCT/DST constructions and the
+e^{i theta} kernel."""
 
 import ast
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 from oracles import naive_cos_sin, naive_dct2, naive_dst2, naive_inverse_dft
 from swiftpricer import dct2_via_fft, dst2_via_fft
-from swiftpricer.transform import cos_sin_sum, inverse_dft
+from swiftpricer.transform import _cis, cos_sin_sum, inverse_dft
 
 
 def hermitian(half):
@@ -200,6 +201,26 @@ class TestCosSinSum:
         lhs = cos_sin_sum(2.0 * a1 - a2, 2.0 * b1 - b2, ks)
         rhs = 2.0 * cos_sin_sum(a1, b1, ks) - cos_sin_sum(a2, b2, ks)
         assert np.abs(lhs - rhs).max() <= 1e-12
+
+
+class TestCis:
+    def test_against_mpmath(self):
+        # seeded theta up to 1e12, and the floats next to odd multiples of
+        # pi up to 1e12, where |tan(theta/2)| is largest
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(34)
+        xs = [rng.uniform(-hi, hi, 200) for hi in 10.0 ** np.arange(0, 13, 2)]
+        with mp.workdps(40):
+            for k in (0, 1, 2, 5, 100, 12345, 10**6, 10**9, 159154943091):
+                x0 = float((2 * k + 1) * mp.pi)
+                near = x0 + np.arange(-3, 4) * np.spacing(x0)
+                xs += [near, -near]
+            xs = np.concatenate(xs)
+            assert np.abs(np.tan(0.5 * xs)).max() > 1e16
+            for x, v in zip(xs.tolist(), _cis(xs)):
+                x = mp.mpf(x)
+                assert abs(v.real - mp.cos(x)) <= 2.5e-16, x
+                assert abs(v.imag - mp.sin(x)) <= 2.5e-16, x
 
 
 class TestOneDimensional:
