@@ -22,18 +22,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import CoefficientArray
+from .density import _BLOCK_ELEMENTS, CoefficientArray
 from .specfun import ein, si
 from .transform import cos_sin_sum
 
 
-def _end_terms(m: int, k, x):
-    """(Im Ein(-t/p + i t), Si(t)) with t = pi(2^m x - k) and p = pi 2^m:
-    the terms of the Si/Ein closed form at one end x of its window."""
-    k = np.asarray(k, dtype=float)
+def _end_arg(m: int, k, x):
+    """t = pi(2^m x - k), the argument of the Si/Ein terms at one end x."""
+    return np.pi * (2.0**m * x - np.asarray(k, dtype=float))
+
+
+def _terms(m: int, t):
+    """(Im Ein(-t/p + i t), Si(t)) with p = pi 2^m, elementwise in t: one
+    ``ein`` and one ``si`` call per ``_BLOCK_ELEMENTS`` points."""
+    if np.size(t) > _BLOCK_ELEMENTS:
+        out = np.empty((2, t.size))
+        for lo in range(0, t.size, _BLOCK_ELEMENTS):
+            out[:, lo:lo + _BLOCK_ELEMENTS] = _terms(m, t[lo:lo + _BLOCK_ELEMENTS])
+        return out[0], out[1]
     p = np.pi * 2.0**m
-    t = np.pi * (2.0**m * x - k)
     return ein(-t / p + 1j * t).imag, si(t)
+
+
+def _end_terms(m: int, k, x):
+    """The terms (Im Ein(-t/p + i t), Si(t)) of the Si/Ein closed form at
+    one end x of its window, t = ``_end_arg(m, k, x)``."""
+    return _terms(m, _end_arg(m, k, x))
 
 
 def _si_ein(K: float, m: int, k, lo: float, hi: float, lo_terms=None, hi_terms=None):
@@ -54,21 +68,21 @@ def _si_ein(K: float, m: int, k, lo: float, hi: float, lo_terms=None, hi_terms=N
     return v if v.ndim else float(v)
 
 
-def payoff_classic_si_ein(K: float, m: int, k, a: float, zero_terms=None):
+def payoff_classic_si_ein(K: float, m: int, k, a: float, zero_terms=None, a_terms=None):
     """V_{m,k} = K 2^{m/2} int_a^0 (1 - e^y) sinc(2^m y - k) dy: ``_si_ein``
     on the window [a, 0].
 
     ``k`` may be an array (one coefficient per entry, same shape) and may be
     non-integral (the derivation never uses integrality), which the
-    shifted-window classic pricing route relies on.  ``zero_terms`` is
-    ``_end_terms(m, k, 0.0)`` when the caller has it; computed here
-    otherwise.
+    shifted-window classic pricing route relies on.  ``zero_terms`` and
+    ``a_terms`` are ``_end_terms(m, k, 0.0)`` and ``_end_terms(m, k, a)``
+    when the caller has them; computed here otherwise.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if not a < 0:
         raise ValueError("a must be < 0")
-    return _si_ein(K, m, k, a, 0.0, hi_terms=zero_terms)
+    return _si_ein(K, m, k, a, 0.0, a_terms, zero_terms)
 
 
 def payoff_forward_si_ein(K: float, F: float, m: int, k, a: float, a_terms=None,

@@ -15,7 +15,7 @@ from .density import (_BLOCK_ELEMENTS, CoefficientArray, DensityJob,
                       _trapezoidal_fhat, density_filon, density_midpoint_fft,
                       density_trapezoidal_fft)
 from .models import _CF_BLOCK, Cumulants, ModelSpec, char_fn, cumulants
-from .payoff import _end_terms, payoff_classic_si_ein, payoff_forward_si_ein
+from .payoff import _end_arg, _terms, payoff_classic_si_ein, payoff_forward_si_ein
 from .transform import _cis
 
 DENSITY_STRATEGIES = ("midpoint", "trapezoidal", "filon")
@@ -187,49 +187,75 @@ class PricingContext:
         self.coeffs, self._density_evals, self._fhat = _compute_density(
             model, grid, density_strategy)
         self.cf_evals = self._density_evals
+        # the forward payoff's strike-independent a-end terms, on first use
+        self._a_terms = None
 
-    @cached_property
-    def _forward_a_end(self):
-        """The strike-independent a-end terms of the forward payoff."""
-        g = self.grid
-        return _end_terms(g.m, np.arange(g.k1, g.k2), g.a)
+    def _puts_si_ein(self, K: np.ndarray, routes, contexts) -> dict:
+        """The ``forward`` and ``classic`` puts among ``routes`` of strikes
+        K > 0, by their Si/Ein closed forms, on each of ``contexts``, which
+        share this context's model and grid: {route: (contexts, strikes)}.
+        Each payoff vector is computed once and summed with every context's
+        coefficients by einsum (no BLAS).
 
-    def _put_si_ein(self, K: float, routes, contexts=None) -> dict:
-        """The ``forward`` and ``classic`` puts among ``routes`` of one
-        strike K > 0, by their Si/Ein closed forms, on each of ``contexts``
-        (default: this one alone), which share this context's model and
-        grid: {route: [put on each context]}.  Each payoff vector is computed
-        once and dotted with every context's coefficients by einsum (no BLAS).
-
-        With z = ln(K/F) and s = 2^m z, the classic form's 0-end terms at the
-        shifted index k - s are at t = pi(0 - (k - s)), the same floats as
-        the forward form's z-end terms t = pi(s - k) at k: when both routes
-        are asked, one ``_end_terms`` call at z serves both.
+        The Si/Ein end terms of a block of strikes are one ``_terms`` call
+        (one ``ein`` and one ``si`` call per ``_BLOCK_ELEMENTS`` points):
+        each strike's z end, then its classic a+z end, and first the
+        forward a end when this context has not kept it yet.  With
+        s = 2^m z, the classic form's 0-end terms at the shifted index k - s
+        are at t = pi(0 - (k - s)), the same floats as the forward form's
+        z-end terms t = pi(s - k) at k, so one z end serves both routes: at
+        every k when the forward put is live (z > a), else on the classic
+        window.  ``ein`` and ``si`` are elementwise, so each price is bit for
+        bit that of its strike priced alone.
         """
-        g, B = self.grid, self.model.discount
-        coeffs = [c.coeffs.values for c in (contexts or (self,))]
-        z = np.log(K / self.model.forward)
+        g, F, m = self.grid, self.model.forward, self.grid.m
+        coeffs = [c.coeffs.values for c in contexts]
+        forward, classic = "forward" in routes, "classic" in routes
         ks = np.arange(g.k1, g.k2)
-        z_terms = (_end_terms(g.m, ks, z)
-                   if "forward" in routes and "classic" in routes and z > g.a else None)
-        puts = {}
-        if "forward" in routes:
-            V = payoff_forward_si_ein(K, self.model.forward, g.m, ks, g.a,
-                                      self._forward_a_end, z_terms)
-            puts["forward"] = [float(B * np.einsum("k,k->", c, V)) for c in coeffs]
-        if "classic" in routes:
-            # strike-centered payoff over the shifted window [a+z, z]: the
-            # coefficient index k pairs with the classic formula at offset
-            # k - 2^m z
-            k1c, k2c = (int(k) for k in _classic_window(g, z))
-            if k1c < g.k1 or k2c > g.k2:
+        z = np.log(K / F)
+        s = 2.0**m * z
+        # strike-centered payoff over the shifted window [a+z, z]: the
+        # coefficient index k pairs with the classic formula at offset k - s
+        k1c, k2c = _classic_window(g, z)
+        if classic:
+            bad = np.flatnonzero((k1c < g.k1) | (k2c > g.k2))
+            if bad.size:
                 raise ValueError(
-                    f"classic payoff window [{k1c}, {k2c}) not covered by the "
-                    f"density range [{g.k1}, {g.k2}); widen the grid")
-            window = slice(k1c - g.k1, k2c - g.k1)
-            zero_terms = None if z_terms is None else tuple(t[window] for t in z_terms)
-            V = payoff_classic_si_ein(K, g.m, ks[window] - 2.0**g.m * z, g.a, zero_terms)
-            puts["classic"] = [float(B * np.einsum("k,k->", c[window], V)) for c in coeffs]
+                    f"classic payoff window [{int(k1c[bad[0]])}, {int(k2c[bad[0]])}) not "
+                    f"covered by the density range [{g.k1}, {g.k2}); widen the grid")
+            k1c, k2c = k1c.astype(int) - g.k1, k2c.astype(int) - g.k1
+        live = forward & (z > g.a)
+        puts = {r: np.empty((len(coeffs), K.size)) for r in ("forward", "classic") if r in routes}
+        a_terms = self._a_terms
+        step = max(1, _BLOCK_ELEMENTS // (2 * ks.size))  # <= 2 (k2 - k1) points a strike
+        for b in range(0, K.size, step):
+            block = range(b, min(b + step, K.size))
+            args = [_end_arg(m, ks, g.a)] if forward and a_terms is None else []
+            for i in block:
+                if live[i] or classic:
+                    args.append(_end_arg(m, ks if live[i] else ks[k1c[i]:k2c[i]], z[i]))
+                if classic:
+                    args.append(_end_arg(m, ks[k1c[i]:k2c[i]] - s[i], g.a))
+            if args:
+                cuts = np.cumsum([t.size for t in args])[:-1]
+                terms = zip(*(np.split(x, cuts) for x in _terms(m, np.concatenate(args))))
+            if forward and a_terms is None:
+                a_terms = self._a_terms = next(terms)
+            for i in block:
+                z_terms = next(terms) if live[i] or classic else None
+                if forward:
+                    V = payoff_forward_si_ein(K[i], F, m, ks, g.a, a_terms,
+                                              z_terms if live[i] else None)
+                    puts["forward"][:, i] = [np.einsum("k,k->", c, V) for c in coeffs]
+                if classic:
+                    window = slice(k1c[i], k2c[i])
+                    zero_terms = tuple(t[window] for t in z_terms) if live[i] else z_terms
+                    V = payoff_classic_si_ein(K[i], m, ks[window] - s[i], g.a, zero_terms,
+                                              next(terms))
+                    puts["classic"][:, i] = [np.einsum("k,k->", c[window], V)
+                                             for c in coeffs]
+        for route in puts:
+            puts[route] *= self.model.discount
         return puts
 
     def classic_dropped_mass(self, strikes) -> np.ndarray:
@@ -300,7 +326,7 @@ class PricingContext:
         ``payoff_strategy`` is one route (1-D result) or a sequence of
         routes (one row per route).  Asked together, ``forward`` and
         ``classic`` share each strike's Si/Ein terms at z = ln(K/F)
-        (``_put_si_ein``), with the same prices as asked one by one.
+        (``_puts_si_ein``), with the same prices as asked one by one.
         """
         return price_puts_shared([self], strikes, payoff_strategy)[0]
 
@@ -374,9 +400,9 @@ def price_puts_shared(contexts, strikes, payoff_strategy="em_fft") -> np.ndarray
             for row, ctx in zip(rows["em_fft"], contexts):
                 row[:] = ctx._puts_em_fft(K)
         if rows.keys() - {"em_fft"}:
-            for i in np.flatnonzero(K > 0.0):  # K = 0 stays 0: call(0) = B F exactly
-                for route, puts in first._put_si_ein(float(K[i]), rows, contexts).items():
-                    rows[route][:, i] = puts
+            live = np.flatnonzero(K > 0.0)  # K = 0 stays 0: call(0) = B F exactly
+            for route, puts in first._puts_si_ein(K[live], rows, contexts).items():
+                rows[route][:, live] = puts
     for route in routes:
         if not np.isfinite(rows[route]).all():
             j, i = np.argwhere(~np.isfinite(rows[route]))[0]
@@ -574,32 +600,67 @@ _GK_GAUSS[11:20:2] = _WG[::-1]
 # Bisections of one panel before its pieces are accepted as they stand: at
 # most 2^9 pieces, the order of QUADPACK's default limit of 400 intervals
 _GK_MAX_DEPTH = 9
+# Seed pieces span at most this many periods 2 pi/max|X| of e^{i u X}, and
+# a refinement round splits its few open pieces 2^k-fold, k >= 1, into about
+# this many: a few full rounds cost less than one round per bisection
+_SEED_PERIODS = 2.0
+_ROUND_PIECES = 16
+
+
+def _split(panel, depth, index, k):
+    """Each piece (panel, depth, index) of ``_damped_integral`` split into
+    2^k equal pieces, ``k`` one per piece or one for all; piece ``index``
+    of depth d is [index, index + 1] 2^-d of its panel."""
+    n = np.broadcast_to(1 << k, panel.shape)
+    rep = np.repeat(np.arange(panel.size), n)
+    sub = np.arange(rep.size) - np.repeat(np.cumsum(n) - n, n)
+    return panel[rep], (depth + k)[rep], (index << k)[rep] + sub
 
 
 def _damped_integral(model: ModelSpec, X: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """int_{edges[0]}^{edges[-1]} Re(e^{i u X} psi(u - i/2)) / (u^2 + 1/4) du
     for each entry of X.
 
-    Adaptive 21-point Gauss-Kronrod by synchronous bisection: each round
+    Adaptive 21-point Gauss-Kronrod in synchronous rounds: each round
     evaluates the cf once on the nodes of every open piece, shared by all
-    X.  A piece is accepted when, for every X, QUADPACK's error estimate
-    meets its width share of max(1e-15, 1e-13 |I_panel|), I_panel being
-    the first estimate on its whole panel, or is down to the rounding
-    floor 50 eps int|f|.  Every open piece of round d is 2^-d of its panel.
+    X.  A piece of depth d is 2^-d of its panel.  Each panel is seeded at
+    the depth that makes its pieces no wider than ``_SEED_PERIODS``
+    periods of e^{i u X}, and its first piece is graded toward edges[0] = 0
+    down to width 1, twice the distance of the poles +-i/2 of
+    1/(u^2 + 1/4).  Each round splits every open piece 2^k-fold, into
+    about ``_ROUND_PIECES`` pieces in all.  A piece is accepted when, for
+    every X, QUADPACK's error estimate meets its width share
+    2^-d max(1e-15, 1e-13 |I_panel|), I_panel being the first estimate on
+    its whole panel (the sum over its seed pieces), or is down to the
+    rounding floor 50 eps int|f|, or has depth ``_GK_MAX_DEPTH``.
     """
-    lo, hi = edges[:-1], edges[1:]
-    panel = np.arange(lo.size)
+    widths = np.diff(edges)
+    periods = widths * np.max(np.abs(X)) / (2.0 * np.pi * _SEED_PERIODS)
+    root = np.arange(widths.size)
+    seed = np.clip(np.frexp(periods)[1], 0, _GK_MAX_DEPTH)
+    panel, depth, index = _split(root, 0 * root, 0 * root, seed)
+    # piece 0 at depth d becomes pieces at depths d + h, d + h, ..., d + 1
+    d = depth[0]
+    h = min(_GK_MAX_DEPTH - d, max(0, int(np.frexp(np.ldexp(widths[0], -d))[1])))
+    panel = np.r_[np.zeros(h, int), panel]
+    depth = np.r_[d + h, np.arange(d + h, d, -1), depth[1:]]
+    index = np.r_[0, np.ones(h, int), index[1:]]
+    first = np.searchsorted(panel, root)
     total = np.zeros(X.shape)
     target = None
-    for depth in range(_GK_MAX_DEPTH + 1):
-        half = 0.5 * (hi - lo)
-        u = ((0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES).ravel()
+    while True:
+        half = np.ldexp(0.5 * widths[panel], -depth)
+        mid = edges[panel] + (2 * index + 1) * half
+        u = (mid[:, None] + half[:, None] * _GK_NODES).ravel()
         g = char_fn(model, u - 0.5j) / (u * u + 0.25)
-        val, err, floor = (np.empty((X.size, lo.size)) for _ in range(3))
+        val, err, floor = (np.empty((X.size, panel.size)) for _ in range(3))
         step = max(1, _BLOCK_ELEMENTS // u.size)
         for s in range(0, X.size, step):
             rows = slice(s, s + step)
-            f = (np.exp(1j * X[rows, None] * u) * g).real.reshape(-1, lo.size, 21)
+            e = _cis(X[rows, None] * u)  # Re(e^{i u X} g) in real arithmetic
+            f = e.real * g.real
+            f -= e.imag * g.imag
+            f = f.reshape(-1, panel.size, 21)
             k_sum = f @ _GK_KRONROD
             diff = np.abs(k_sum - f @ _GK_GAUSS) * half
             resasc = np.abs(f - 0.5 * k_sum[..., None]) @ _GK_KRONROD * half
@@ -610,16 +671,16 @@ def _damped_integral(model: ModelSpec, X: np.ndarray, edges: np.ndarray) -> np.n
         bad = ~np.isfinite(val).all(axis=0)
         if bad.any():
             i = np.flatnonzero(bad)[0]
-            raise ReferenceError(f"quadrature failed on panel [{lo[i]}, {hi[i]}]")
+            raise ReferenceError(f"quadrature failed on panel "
+                                 f"[{mid[i] - half[i]}, {mid[i] + half[i]}]")
         if target is None:
-            target = np.maximum(1e-15, 1e-13 * np.abs(val))
-        done = (err <= np.maximum(target[:, panel] * 0.5**depth, floor)).all(axis=0)
+            target = np.maximum(1e-15, 1e-13 * np.abs(np.add.reduceat(val, first, axis=1)))
+        done = (err <= np.maximum(np.ldexp(target[:, panel], -depth), floor)).all(axis=0)
         done |= depth == _GK_MAX_DEPTH
         total += val[:, done].sum(axis=1)
         keep = ~done
         if not keep.any():
-            break
-        mid = 0.5 * (lo + hi)[keep]
-        lo, hi = np.concatenate([lo[keep], mid]), np.concatenate([mid, hi[keep]])
-        panel = np.tile(panel[keep], 2)
-    return total
+            return total
+        panel, depth, index = panel[keep], depth[keep], index[keep]
+        k = max(1, (_ROUND_PIECES // panel.size).bit_length() - 1)
+        panel, depth, index = _split(panel, depth, index, min(k, _GK_MAX_DEPTH - depth.max()))

@@ -20,6 +20,7 @@ from swiftpricer import (CoefficientArray, Cumulants, DensityJob, GridSelectionE
 import swiftpricer.density as density_mod
 import swiftpricer.payoff as payoff_mod
 import swiftpricer.pricer as pricer_mod
+from swiftpricer.cli import main
 from swiftpricer.pricer import PAYOFF_STRATEGIES, grid_for
 
 BLACK_ATM = 7.965567455405804  # Black-76 put, F=K=100, T=1, vol=0.2
@@ -198,6 +199,14 @@ class TestAllocationBudget:
         assert traced_peak_kib(sums) <= 1024
 
 
+    def test_error_sweep_default_strikes(self, lognormal_file, tmp_path):
+        # 40 strikes on LOGNORMAL_02: the Si/Ein end terms go to ein and si
+        # in blocks of _BLOCK_ELEMENTS points, whose temporaries read
+        # 8.0 MiB (0.8 MiB one strike at a time, 16.6 MiB in one block)
+        argv = ["error-sweep", "--model", lognormal_file, "--out", str(tmp_path / "s.csv")]
+        assert traced_peak_kib(lambda: main(argv)) <= 10240
+
+
 class TestPricePut:
     def test_empty_support_prices_zero(self, heston_short):
         grid = short_grid()
@@ -243,23 +252,18 @@ class TestPricePut:
 
 class TestForwardRoute:
     def test_a_end_terms_computed_once(self, heston_short, monkeypatch):
-        calls = {"n": 0}
+        points = []
         real = payoff_mod.ein
-
-        def counting(z):
-            calls["n"] += 1
-            return real(z)
-
-        monkeypatch.setattr(payoff_mod, "ein", counting)
+        monkeypatch.setattr(payoff_mod, "ein", lambda z: points.append(np.size(z)) or real(z))
         grid = short_grid()
         ctx = PricingContext(heston_short, grid)
         ks = np.arange(grid.k1, grid.k2)
         c, F = ctx.coeffs.values, heston_short.forward
         for i, K in enumerate((0.97, 1.0, 1.0064, 1.05)):
-            before = calls["n"]
+            points.clear()
             price = ctx.price_put(K, "forward").price
-            # the first price also fills the context's a-end terms
-            assert calls["n"] - before == (2 if i == 0 else 1)
+            # one ein call; the first price's also fills the context's a-end terms
+            assert points == [ks.size * (2 if i == 0 else 1)]
             direct = heston_short.discount * np.dot(
                 c, payoff_forward_si_ein(K, F, grid.m, ks, grid.a))
             assert abs(price - direct) <= 1e-15 * max(K, F)
@@ -571,6 +575,26 @@ class TestSharedContexts:
         pricer_mod.price_puts_shared(contexts, strikes, ("classic", "forward"))
         assert sum(points) == one > 0
 
+    def test_one_ein_and_one_si_call_per_vector(self, monkeypatch):
+        # error-sweep's 40 default strikes: every Si/Ein end term of the call
+        # (the forward a end, each strike's z end and classic a+z end) in one
+        # block, and each price that of its strike priced alone
+        calls = {"ein": 0, "si": 0}
+        for name in calls:
+            def counting(x, name=name, real=getattr(payoff_mod, name)):
+                calls[name] += 1
+                return real(x)
+            monkeypatch.setattr(payoff_mod, name, counting)
+        F = HESTON_SHORT.forward
+        a, b = truncation_interval(cumulants(HESTON_SHORT), 12.0)
+        strikes = F * np.linspace(np.exp(0.25 * a), np.exp(b) * (1 - 1e-9), 40)
+        grid = grid_for(HESTON_SHORT, 8, L=12.0, strikes=strikes)
+        routes = ("classic", "forward")
+        got = PricingContext(HESTON_SHORT, grid).price_puts(strikes, routes)
+        assert calls == {"ein": 1, "si": 1}
+        one = [PricingContext(HESTON_SHORT, grid).price_puts([K], routes)[:, 0] for K in strikes]
+        assert np.array_equal(got, np.transpose(one))
+
     def test_refuses_contexts_on_other_grids(self, heston_short):
         a = PricingContext(heston_short, grid_for(heston_short, m=6, J=8))
         b = PricingContext(heston_short, grid_for(heston_short, m=7, J=8))
@@ -743,14 +767,26 @@ class TestReferencePut:
 
     def test_tail_cut_in_one_cf_call(self, monkeypatch):
         # all candidate cuts in the first call, then one call per
-        # Gauss-Kronrod round: 6 in all on the heavy error-sweep's low end
+        # Gauss-Kronrod round: 3 in all on the heavy error-sweep's low end
         assert pricer_mod._TAIL_CUTS[-1] < 1e8 <= pricer_mod._TAIL_CUTS[-1] * 1.7
         sizes = record_cf_points(monkeypatch)
         F = HESTON_HEAVY.forward
         a, _ = truncation_interval(cumulants(HESTON_HEAVY), 12.0)
         reference_put(HESTON_HEAVY, [F * np.exp(0.25 * a), F])
         assert sizes[0] == 3 * len(pricer_mod._TAIL_CUTS)
-        assert len(sizes) == 6
+        assert len(sizes) == 3
+
+    @pytest.mark.parametrize("model", REFERENCE_MODELS,
+                             ids=["lognormal", "heston_short", "heston_heavy"])
+    def test_few_rounds(self, model, monkeypatch):
+        # the tail-cut call and at most 3 Gauss-Kronrod rounds at both ends
+        # of error-sweep's strike range
+        sizes = record_cf_points(monkeypatch)
+        a, b = truncation_interval(cumulants(model), 12.0)
+        for z in (0.25 * a, 0.9 * b):
+            sizes.clear()
+            reference_put(model, model.forward * np.exp(z))
+            assert len(sizes) <= 4, z
 
     def test_non_finite_panel_raises(self, lognormal, monkeypatch):
         real = pricer_mod.char_fn
