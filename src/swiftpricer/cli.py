@@ -24,7 +24,7 @@ from .payoff import (payoff_classic_si_ein, payoff_classic_simpson,
                      payoff_classic_vieta, payoff_forward_si_ein)
 from .pricer import (DENSITY_STRATEGIES, FILON_TOL, PAYOFF_STRATEGIES,
                      GridSelectionError, PricingContext, ReferenceError, grid_for,
-                     price_puts_shared, reference_put, truncation_interval)
+                     reference_put, truncation_interval)
 
 # The default --mass-tol, and the density mass left out of the classic
 # window above which error-sweep flags a row window_uncovered
@@ -142,11 +142,8 @@ def cmd_price_table(args) -> int:
         grid = grid_for(model, exp["m"], exp["J"])
         strikes = [K for K, _ in exp["strikes"]]
         refs = reference_put(model, strikes).tolist()
-        # both densities price each strike with one set of payoff vectors
-        strategies = ("midpoint", "trapezoidal")
-        contexts = [PricingContext(model, grid, strategy) for strategy in strategies]
-        for strategy, prices in zip(strategies, price_puts_shared(contexts, strikes,
-                                                                   args.payoff)):
+        for strategy in ("midpoint", "trapezoidal"):
+            prices = PricingContext(model, grid, strategy).price_puts(strikes, args.payoff)
             for (K, side), price, refp in zip(exp["strikes"], prices.tolist(), refs):
                 if side == "call":
                     parity = model.discount * (model.forward - K)

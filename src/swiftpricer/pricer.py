@@ -6,6 +6,7 @@ provide the independent reference pricer used for error columns.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -35,7 +36,7 @@ _MAX_J = (2 * _MAX_K_HALF).bit_length()
 @dataclass(frozen=True)
 class WaveletGrid:
     """The discretization: scale m, coefficient range [k1, k2), Parseval
-    node level J and truncation [a, b]."""
+    node level J and truncation [a, b]: ints m, J >= 1 and finite a < b."""
 
     m: int
     k1: int
@@ -51,14 +52,25 @@ class WaveletGrid:
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        for name in ("m", "J"):
+            object.__setattr__(self, name, _grid_int(name, getattr(self, name)))
         if not self.k1 < self.k2:
             raise ValueError("need k1 < k2")
         if self.k2 - self.k1 > (1 << self.J):
             raise ValueError(f"k2-k1 = {self.k2 - self.k1} exceeds 2^J = {1 << self.J}")
-        if not self.a < self.b:
-            raise ValueError("need a < b")
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
+            raise ValueError(f"need finite a < b, got [{self.a}, {self.b}]")
+
+
+def _grid_int(name: str, value, cap=math.inf) -> int:
+    """``value`` as an int in [1, cap]: a numpy integer passes, a float raises."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not 1 <= value <= cap:
+        raise ValueError(f"{name} must be in [1, {cap}], got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -190,12 +202,10 @@ class PricingContext:
         # the forward payoff's strike-independent a-end terms, on first use
         self._a_terms = None
 
-    def _puts_si_ein(self, K: np.ndarray, routes, contexts) -> dict:
+    def _puts_si_ein(self, K: np.ndarray, routes) -> dict:
         """The ``forward`` and ``classic`` puts among ``routes`` of strikes
-        K > 0, by their Si/Ein closed forms, on each of ``contexts``, which
-        share this context's model and grid: {route: (contexts, strikes)}.
-        Each payoff vector is computed once and summed with every context's
-        coefficients by einsum (no BLAS).
+        K > 0, by their Si/Ein closed forms: {route: puts}.  Each payoff
+        vector is summed with the coefficients by einsum (no BLAS).
 
         The Si/Ein end terms of a block of strikes are one ``_terms`` call
         (one ``ein`` and one ``si`` call per ``_BLOCK_ELEMENTS`` points):
@@ -208,8 +218,7 @@ class PricingContext:
         window.  ``ein`` and ``si`` are elementwise, so each price is bit for
         bit that of its strike priced alone.
         """
-        g, F, m = self.grid, self.model.forward, self.grid.m
-        coeffs = [c.coeffs.values for c in contexts]
+        g, F, m, c = self.grid, self.model.forward, self.grid.m, self.coeffs.values
         forward, classic = "forward" in routes, "classic" in routes
         ks = np.arange(g.k1, g.k2)
         z = np.log(K / F)
@@ -225,7 +234,7 @@ class PricingContext:
                     f"covered by the density range [{g.k1}, {g.k2}); widen the grid")
             k1c, k2c = k1c.astype(int) - g.k1, k2c.astype(int) - g.k1
         live = forward & (z > g.a)
-        puts = {r: np.empty((len(coeffs), K.size)) for r in ("forward", "classic") if r in routes}
+        puts = {r: np.empty(K.size) for r in ("forward", "classic") if r in routes}
         a_terms = self._a_terms
         step = max(1, _BLOCK_ELEMENTS // (2 * ks.size))  # <= 2 (k2 - k1) points a strike
         for b in range(0, K.size, step):
@@ -246,14 +255,13 @@ class PricingContext:
                 if forward:
                     V = payoff_forward_si_ein(K[i], F, m, ks, g.a, a_terms,
                                               z_terms if live[i] else None)
-                    puts["forward"][:, i] = [np.einsum("k,k->", c, V) for c in coeffs]
+                    puts["forward"][i] = np.einsum("k,k->", c, V)
                 if classic:
                     window = slice(k1c[i], k2c[i])
                     zero_terms = tuple(t[window] for t in z_terms) if live[i] else z_terms
                     V = payoff_classic_si_ein(K[i], m, ks[window] - s[i], g.a, zero_terms,
                                               next(terms))
-                    puts["classic"][:, i] = [np.einsum("k,k->", c[window], V)
-                                             for c in coeffs]
+                    puts["classic"][i] = np.einsum("k,k->", c[window], V)
         for route in puts:
             puts[route] *= self.model.discount
         return puts
@@ -318,23 +326,49 @@ class PricingContext:
         """Put prices for a vector of strikes.  ``forward`` and ``classic``
         are B sum_k c_k V_k(K), their Si/Ein closed forms V strike by
         strike; ``em_fft`` is the Parseval sum of ``_puts_em_fft``, which
-        reads fhat on the density nodes, not the coefficients.
-        K = 0 prices exactly 0 on every route, as does z <= a on em_fft and
-        forward.  A non-finite price raises ``FloatingPointError`` naming
-        its route and strike.
+        reads fhat on the density nodes, not the coefficients.  On every
+        route K = 0 prices exactly 0 and a grid without a < 0 <= b is
+        refused; z <= a prices 0 on em_fft and forward.  A non-finite price
+        raises ``FloatingPointError`` naming its route and strike.
 
-        ``payoff_strategy`` is one route (1-D result) or a sequence of
-        routes (one row per route).  Asked together, ``forward`` and
-        ``classic`` share each strike's Si/Ein terms at z = ln(K/F)
+        ``payoff_strategy`` is one route (1-D result) or a non-empty
+        sequence of routes (one row per route).  Asked together, ``forward``
+        and ``classic`` share each strike's Si/Ein terms at z = ln(K/F)
         (``_puts_si_ein``), with the same prices as asked one by one.
         """
-        return price_puts_shared([self], strikes, payoff_strategy)[0]
+        routes = ((payoff_strategy,) if isinstance(payoff_strategy, str)
+                  else tuple(payoff_strategy))
+        if not routes:
+            raise ValueError("payoff_strategy names no route")
+        for route in routes:
+            if route not in PAYOFF_STRATEGIES:
+                raise ValueError(f"unknown payoff strategy '{route}' "
+                                 f"(choose from {PAYOFF_STRATEGIES})")
+        K = _check_strikes(strikes)
+        g = self.grid
+        if not g.a < 0 <= g.b:
+            raise ValueError(f"need a < 0 <= b for put coverage, got [{g.a}, {g.b}]")
+        live = np.flatnonzero(K > 0.0)
+        rows = {route: np.zeros(K.shape) for route in routes}
+        with np.errstate(over="ignore", invalid="ignore"):
+            if "em_fft" in rows:
+                rows["em_fft"][live] = self._puts_em_fft(K[live])
+            if rows.keys() - {"em_fft"}:
+                for route, puts in self._puts_si_ein(K[live], rows).items():
+                    rows[route][live] = puts
+        out = np.stack([rows[route] for route in routes])
+        bad = np.argwhere(~np.isfinite(out))
+        if bad.size:
+            j, i = bad[0]
+            raise FloatingPointError(f"the {routes[j]} price of strike "
+                                     f"{float(K[i])!r} is {out[j, i]}")
+        return out[0] if isinstance(payoff_strategy, str) else out
 
     def _puts_em_fft(self, K: np.ndarray) -> np.ndarray:
-        """em_fft puts by the paper's Parseval identity: the payoff transform
-        M(u) = int_a^z (e^z - e^y) e^{i u y} dy, z = ln(K/F), against fhat
-        by the trapezoidal rule on the density nodes u_j = j delta,
-        delta = 2^m pi / 2^(J-1):
+        """em_fft puts of strikes K > 0 by the paper's Parseval identity:
+        the payoff transform M(u) = int_a^z (e^z - e^y) e^{i u y} dy,
+        z = ln(K/F), against fhat by the trapezoidal rule on the density
+        nodes u_j = j delta, delta = 2^m pi / 2^(J-1):
 
           B F delta/pi [e^z (Re sum_j w_j e^{i u_j z} + A0) + B0 + M(0)/2]
 
@@ -348,10 +382,7 @@ class PricingContext:
         on the thread count.
         """
         g, F = self.grid, self.model.forward
-        if not g.a < 0 <= g.b:
-            raise ValueError(f"need a < 0 <= b for put coverage, got [{g.a}, {g.b}]")
-        z = np.full(K.shape, -np.inf)
-        np.log(K / F, out=z, where=K > 0.0)
+        z = np.log(K / F)
         live = np.flatnonzero(z > g.a)
         sums = np.zeros(K.shape)
         if live.size == 0:
@@ -379,40 +410,6 @@ class PricingContext:
         return PricingResult(self.price_put(K, payoff_strategy).price + parity)
 
 
-def price_puts_shared(contexts, strikes, payoff_strategy="em_fft") -> np.ndarray:
-    """``[c.price_puts(strikes, payoff_strategy) for c in contexts]`` as one
-    array, for contexts on one model and grid (say, two density strategies):
-    each strike's Si/Ein payoff vectors are computed once, for all of them,
-    and the prices are bit for bit those of the contexts asked one by one."""
-    routes = ((payoff_strategy,) if isinstance(payoff_strategy, str)
-              else tuple(payoff_strategy))
-    for route in routes:
-        if route not in PAYOFF_STRATEGIES:
-            raise ValueError(f"unknown payoff strategy '{route}' "
-                             f"(choose from {PAYOFF_STRATEGIES})")
-    first = contexts[0]
-    if any(c.model != first.model or c.grid != first.grid for c in contexts[1:]):
-        raise ValueError("contexts sharing payoffs need one model and one grid")
-    K = _check_strikes(strikes)
-    rows = {route: np.zeros((len(contexts),) + K.shape) for route in routes}
-    with np.errstate(over="ignore", invalid="ignore"):
-        if "em_fft" in rows:
-            for row, ctx in zip(rows["em_fft"], contexts):
-                row[:] = ctx._puts_em_fft(K)
-        if rows.keys() - {"em_fft"}:
-            live = np.flatnonzero(K > 0.0)  # K = 0 stays 0: call(0) = B F exactly
-            for route, puts in first._puts_si_ein(K[live], rows, contexts).items():
-                rows[route][:, live] = puts
-    for route in routes:
-        if not np.isfinite(rows[route]).all():
-            j, i = np.argwhere(~np.isfinite(rows[route]))[0]
-            raise FloatingPointError(f"the {route} price of strike "
-                                     f"{float(K[i])!r} is {rows[route][j, i]}")
-    if isinstance(payoff_strategy, str):
-        return rows[payoff_strategy]
-    return np.stack([rows[route] for route in routes], axis=1)
-
-
 def auto_grid(model: ModelSpec, L: float = 10.0, mass_tol: float = 1e-9,
               m: int | None = None) -> WaveletGrid:
     """Grid selection: scale from the cf decay, a seed interval from the
@@ -425,9 +422,9 @@ def auto_grid(model: ModelSpec, L: float = 10.0, mass_tol: float = 1e-9,
     grid carries the last wide coefficients, which a trapezoidal
     ``PricingContext`` on it slices instead of redoing the FFT, and their
     fhat, which em_fft prices from on any context.  A window past
-    ``_MAX_K_HALF``, the seed too, raises ``GridSelectionError``."""
-    if m is None:
-        m = select_scale(model)
+    ``_MAX_K_HALF``, the seed too, raises ``GridSelectionError``; an ``m``
+    that is not an integer >= 1 raises ``ValueError``."""
+    m = select_scale(model) if m is None else _grid_int("m", m)
     a, b = truncation_interval(cumulants(model), L)
     if max(-a, b) > math.ldexp(_MAX_K_HALF, -m):  # 2^m max(-a, b), overflow-free
         raise GridSelectionError(f"the seed window 2^m max(-a, b) of m = {m}, L = {L} "
@@ -474,14 +471,14 @@ def grid_for(model: ModelSpec, m: int | None = None, J: int | None = None,
       [2^m(a+z), 2^m(b+z)] of each strike and of z = b, one index to spare
       each side; J defaults to max(10, log2(k2 - k1) + 2).
 
-    A ``J`` that would be ignored, an ``m`` or ``J`` below 1, a
-    ``mass_tol`` outside (0, 1) on any grid, a strike window that needs
-    J > 17 (auto_grid's largest density job), a ``J`` above 19 (the
-    largest the strike-window default picks), and grid bounds that are not
-    finite floats raise ``ValueError``."""
-    for name, value, cap in (("m", m, math.inf), ("J", J, _MAX_J + 2)):
-        if value is not None and not 1 <= value <= cap:
-            raise ValueError(f"{name} must be in [1, {cap}], got {value}")
+    A ``J`` that would be ignored, an ``m`` or ``J`` that is not an
+    integer >= 1, a ``mass_tol`` outside (0, 1) on any grid, a strike
+    window that needs J > 17 (auto_grid's largest density job), a ``J``
+    above 19 (the largest the strike-window default picks), and grid
+    bounds that are not finite floats raise ``ValueError``, before any cf
+    call for ``m`` and ``J``."""
+    m = None if m is None else _grid_int("m", m)
+    J = None if J is None else _grid_int("J", J, _MAX_J + 2)
     if not 0 < mass_tol < 1:
         raise ValueError(f"mass_tol must be in (0, 1), got {mass_tol}")
     if J is not None and m is None and strikes is None:
@@ -561,10 +558,9 @@ def reference_put(model: ModelSpec, K):
             raise ReferenceError(
                 f"cf tail does not decay below the budget by u = {_TAIL_CUTS[-1] * 1.7:.3g}")
         u_max = _TAIL_CUTS[met[0]]
-        edges = np.unique(np.concatenate([
-            np.linspace(0.0, min(u_max, 200.0), 21),
-            np.geomspace(max(1.0, min(u_max, 200.0)), u_max, 12),
-        ]))
+        edges = np.linspace(0.0, min(u_max, 200.0), 21)
+        if u_max > 200.0:
+            edges = np.r_[edges, np.geomspace(200.0, u_max, 12)[1:]]
         total = _damped_integral(model, np.log(F / Kl), edges)
         puts[live] = B * (Kl - root_fk / np.pi * total)
         if not np.all(np.isfinite(puts)):

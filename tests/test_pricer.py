@@ -383,11 +383,23 @@ class TestPricePuts:
         with pytest.raises(ValueError, match="1-D sequence"):
             ctx.price_puts([[90.0, 100.0]])
 
-    def test_grid_without_put_coverage_rejected(self, lognormal):
-        grid = WaveletGrid(m=5, k1=8, k2=64, J=11, a=0.25, b=2.0)
+    @pytest.mark.parametrize("route", ["em_fft", "forward", "classic", ("classic", "forward")],
+                             ids=["em_fft", "forward", "classic", "both"])
+    @pytest.mark.parametrize("a, b", [(0.25, 2.0), (-2.0, -0.25)],
+                             ids=["a_positive", "b_negative"])
+    def test_grid_without_put_coverage_rejected(self, lognormal, route, a, b):
+        # k covers the classic window of K = F: only the put domain refuses,
+        # where forward would price 0 (a > 0) and classic a fraction (b < 0)
+        # of the true 7.97
+        grid = WaveletGrid(m=5, k1=-72, k2=72, J=11, a=a, b=b)
         ctx = PricingContext(lognormal, grid)
         with pytest.raises(ValueError, match="a < 0 <= b"):
-            ctx.price_puts([100.0])
+            ctx.price_puts([100.0], route)
+
+    def test_no_route_refused(self, lognormal):
+        ctx = PricingContext(lognormal, auto_grid(lognormal))
+        with pytest.raises(ValueError, match="payoff_strategy"):
+            ctx.price_puts([100.0], ())
 
     def test_ten_thousand_strikes_on_heavy_grid(self, heston_heavy):
         grid = auto_grid(heston_heavy, mass_tol=1e-8)
@@ -546,35 +558,6 @@ class TestSiEinRoutes:
         with pytest.raises(FloatingPointError, match=r"forward price of strike 1\.0 "):
             ctx.price_puts([0.0, 1.0], ("classic", "forward"))
 
-
-class TestSharedContexts:
-    """``price_puts_shared``: contexts on one model and grid priced with one
-    set of Si/Ein payoff vectors per strike."""
-
-    ROUTES = ("forward", "classic", "em_fft", ("classic", "forward"))
-
-    @pytest.mark.parametrize("route", ROUTES, ids=["forward", "classic", "em_fft", "both"])
-    def test_bit_for_bit_the_contexts_one_by_one(self, heston_short, route):
-        strikes = [0.0, 0.9, 1.0, 1.0064, 1.064]
-        grid = grid_for(heston_short, m=6, J=8, strikes=strikes)
-        contexts = [PricingContext(heston_short, grid, d) for d in ("midpoint", "trapezoidal")]
-        got = pricer_mod.price_puts_shared(contexts, strikes, route)
-        want = np.array([c.price_puts(strikes, route) for c in contexts])
-        assert got.shape == want.shape and np.array_equal(got, want)
-
-    def test_each_payoff_computed_once(self, heston_short, monkeypatch):
-        # the two contexts take the Ein points of one
-        points, ein = [], payoff_mod.ein
-        monkeypatch.setattr(payoff_mod, "ein", lambda z: points.append(np.size(z)) or ein(z))
-        strikes = [0.95, 1.0064, 1.064]
-        grid = grid_for(heston_short, m=6, J=8, strikes=strikes)
-        PricingContext(heston_short, grid).price_puts(strikes, ("classic", "forward"))
-        one = sum(points)
-        points.clear()
-        contexts = [PricingContext(heston_short, grid, d) for d in ("midpoint", "trapezoidal")]
-        pricer_mod.price_puts_shared(contexts, strikes, ("classic", "forward"))
-        assert sum(points) == one > 0
-
     def test_one_ein_and_one_si_call_per_vector(self, monkeypatch):
         # error-sweep's 40 default strikes: every Si/Ein end term of the call
         # (the forward a end, each strike's z end and classic a+z end) in one
@@ -594,12 +577,6 @@ class TestSharedContexts:
         assert calls == {"ein": 1, "si": 1}
         one = [PricingContext(HESTON_SHORT, grid).price_puts([K], routes)[:, 0] for K in strikes]
         assert np.array_equal(got, np.transpose(one))
-
-    def test_refuses_contexts_on_other_grids(self, heston_short):
-        a = PricingContext(heston_short, grid_for(heston_short, m=6, J=8))
-        b = PricingContext(heston_short, grid_for(heston_short, m=7, J=8))
-        with pytest.raises(ValueError, match="one model and one grid"):
-            pricer_mod.price_puts_shared([a, b], [1.0], "forward")
 
 
 class TestClassicRoute:
@@ -788,6 +765,17 @@ class TestReferencePut:
             reference_put(model, model.forward * np.exp(z))
             assert len(sizes) <= 4, z
 
+    def test_no_degenerate_piece(self, monkeypatch):
+        # a tail cut at or below 200 ends the equal panels: no Gauss-Kronrod
+        # piece is left over between the cut and its rounded copy
+        nodes, real = [], pricer_mod.char_fn
+        monkeypatch.setattr(pricer_mod, "char_fn",
+                            lambda model, u: nodes.append(np.real(u)) or real(model, u))
+        F = LOGNORMAL_02.forward
+        reference_put(LOGNORMAL_02, [0.8 * F, F, 1.25 * F])
+        pieces = np.concatenate(nodes[1:]).reshape(-1, 21)
+        assert np.min(pieces.max(axis=1) - pieces.min(axis=1)) > 1e-9
+
     def test_non_finite_panel_raises(self, lognormal, monkeypatch):
         real = pricer_mod.char_fn
 
@@ -798,6 +786,22 @@ class TestReferencePut:
         monkeypatch.setattr(pricer_mod, "char_fn", holed)
         with pytest.raises(ReferenceError, match="quadrature failed"):
             reference_put(lognormal, [90.0, 100.0])
+
+
+# (grid constructor or selector call, the refusal's message): each refused
+# before any cf call
+GRID_REFUSALS = {
+    "grid_m_fractional": (lambda: WaveletGrid(6.5, -8, 8, 5, -1.0, 1.0), "m must be an integer"),
+    "grid_J_fractional": (lambda: WaveletGrid(6, -8, 8, 5.5, -1.0, 1.0), "J must be an integer"),
+    "grid_J_zero": (lambda: WaveletGrid(6, 0, 1, 0, -1.0, 1.0), r"J must be in \[1"),
+    "grid_a_infinite": (lambda: WaveletGrid(6, -8, 8, 5, -np.inf, 1.0), "finite a < b"),
+    "grid_b_infinite": (lambda: WaveletGrid(6, -8, 8, 5, -1.0, np.inf), "finite a < b"),
+    "grid_for_J_fractional": (lambda: grid_for(LOGNORMAL_02, m=6, J=9.5),
+                              "J must be an integer"),
+    "grid_for_m_fractional": (lambda: grid_for(LOGNORMAL_02, m=6.5, J=9),
+                              "m must be an integer"),
+    "auto_grid_m_fractional": (lambda: auto_grid(LOGNORMAL_02, m=6.5), "m must be an integer"),
+}
 
 
 class TestAutoGrid:
@@ -817,6 +821,26 @@ class TestAutoGrid:
             WaveletGrid(m=4, k1=8, k2=8, J=5, a=-1.0, b=1.0)
         with pytest.raises(ValueError, match="a < b"):
             WaveletGrid(m=4, k1=-8, k2=8, J=5, a=1.0, b=1.0)
+
+    @pytest.mark.parametrize("make, message", GRID_REFUSALS.values(), ids=GRID_REFUSALS.keys())
+    def test_grid_integers_and_bounds_refused(self, make, message, monkeypatch):
+        sizes = record_cf_points(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            make()
+        assert sizes == []
+
+    @pytest.mark.parametrize("make", [
+        lambda m, J: WaveletGrid(m=m, k1=-128, k2=128, J=J, a=-2.0, b=2.0),
+        lambda m, J: auto_grid(LOGNORMAL_02, m=m),
+        lambda m, J: grid_for(LOGNORMAL_02, m=m, J=J),
+    ], ids=["wavelet_grid", "auto_grid", "grid_for"])
+    def test_numpy_integers_price_as_ints(self, lognormal, make):
+        want, got = make(6, 9), make(np.int64(6), np.int64(9))
+        assert got == want and type(got.m) is int and type(got.J) is int
+        strikes = [0.0, 80.0, 100.0, 125.0]
+        for route in ("em_fft", "forward"):
+            assert (PricingContext(lognormal, got).price_puts(strikes, route).tolist()
+                    == PricingContext(lognormal, want).price_puts(strikes, route).tolist())
 
     def test_window_past_the_widest_refused(self, heston_heavy):
         # at T = 10 the heavy set keeps 1.6e-4 of its mass outside the
